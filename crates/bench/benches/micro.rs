@@ -19,7 +19,7 @@ fn event_queue(c: &mut Criterion) {
         let mut rng = DetRng::new(1, "bench-eq");
         let times: Vec<f64> = (0..1000).map(|_| rng.uniform(0.0, 1e6)).collect();
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
+            let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
                 q.push(SimTime::from_secs(t), i);
             }
@@ -38,7 +38,7 @@ fn event_queue_ties(c: &mut Criterion) {
     c.bench_function("event_queue_same_time_fifo_1k", |b| {
         let t = SimTime::from_secs(123.456);
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
+            let mut q = EventQueue::new();
             for i in 0..1000usize {
                 q.push(t, i);
             }

@@ -14,11 +14,7 @@
 //!
 //! Results land in `BENCH_hotpath.json` together with the recorded
 //! pre-optimization baselines, so the speedup trajectory is tracked in one
-//! file. `--reference` re-runs every simulation in full reference mode —
-//! the full-scan wake resync ([`array::RunOptions::reference_full_resync`])
-//! *and* the `BinaryHeap` event queue with per-event admission
-//! ([`array::RunOptions::reference_heap_queue`]) — for an apples-to-apples
-//! measure of the combined hot-path wins.
+//! file.
 //!
 //! The **fleet bench** ([`fleet_bench`]) then times three fleet shapes (4,
 //! 64, and 256 arrays) serially and parallel through the persistent-worker
@@ -84,25 +80,14 @@ struct Outcome {
 }
 
 /// Entry point for `repro bench`.
-pub fn bench(seed: u64, out: &str, iters: usize, reference: bool, check_floor: bool) {
+pub fn bench(seed: u64, out: &str, iters: usize, check_floor: bool) {
     assert!(iters >= 1, "bench: need at least one iteration");
     // Quick scale, one job: the baseline was measured single-threaded, and
     // serial timing keeps iteration-to-iteration noise low.
     let ctx = Ctx::new(true, seed, out, 1);
-    println!(
-        "# hot-path bench — quick scale, seed {seed}, {iters} iteration(s){}",
-        if reference {
-            ", reference mode (full-scan resync + heap queue)"
-        } else {
-            ""
-        }
-    );
+    println!("# hot-path bench — quick scale, seed {seed}, {iters} iteration(s)");
 
-    let scenarios = vec![
-        quick_t3(&ctx, reference),
-        fault_storm(&ctx, reference),
-        f6_highload(&ctx, reference),
-    ];
+    let scenarios = vec![quick_t3(&ctx), fault_storm(&ctx), f6_highload(&ctx)];
 
     let mut outcomes = Vec::new();
     for sc in &scenarios {
@@ -151,7 +136,7 @@ pub fn bench(seed: u64, out: &str, iters: usize, reference: bool, check_floor: b
         });
     }
 
-    let json = render_json(&outcomes, seed, iters, reference);
+    let json = render_json(&outcomes, seed, iters);
     let path = std::path::Path::new(out).join("BENCH_hotpath.json");
     std::fs::write(&path, json).expect("write BENCH_hotpath.json");
     println!("  -> {}", path.display());
@@ -172,7 +157,7 @@ pub fn bench(seed: u64, out: &str, iters: usize, reference: bool, check_floor: b
         );
     }
 
-    let fleet_results = fleet_bench(&ctx, seed, out, iters, reference);
+    let fleet_results = fleet_bench(&ctx, seed, out, iters);
 
     if check_floor {
         let q = outcomes
@@ -289,7 +274,7 @@ struct FleetResult {
 /// Results land in `BENCH_fleet.json` with the recorded pre-worker
 /// baseline and the floor constants; per-iteration event counts must
 /// match across worker counts (determinism is asserted, not hoped for).
-fn fleet_bench(ctx: &Ctx, seed: u64, out: &str, iters: usize, reference: bool) -> Vec<FleetResult> {
+fn fleet_bench(ctx: &Ctx, seed: u64, out: &str, iters: usize) -> Vec<FleetResult> {
     use fleet::{run_fleet, BudgetSchedule, FleetSpec};
     use hibernator::Hibernator;
 
@@ -324,7 +309,7 @@ fn fleet_bench(ctx: &Ctx, seed: u64, out: &str, iters: usize, reference: bool) -
 
     let config = ctx.array_config(Workload::Oltp);
     let trace = ctx.trace(Workload::Oltp);
-    let opts = bench_opts(ctx, reference);
+    let opts = ctx.run_options();
     let (_, goal) = calibrate(ctx, &config, &trace, &opts);
 
     let mut results = Vec::new();
@@ -394,7 +379,7 @@ fn fleet_bench(ctx: &Ctx, seed: u64, out: &str, iters: usize, reference: bool) -
         });
     }
 
-    let json = render_fleet_json(&results, seed, iters, reference);
+    let json = render_fleet_json(&results, seed, iters);
     let path = std::path::Path::new(out).join("BENCH_fleet.json");
     std::fs::write(&path, json).expect("write BENCH_fleet.json");
     println!("  -> {}", path.display());
@@ -405,14 +390,12 @@ fn fleet_bench(ctx: &Ctx, seed: u64, out: &str, iters: usize, reference: bool) -
 /// views, the recorded pre-worker baseline, the floor constants, and the
 /// core count the numbers were measured on (floors only bind when the
 /// machine has enough cores).
-fn render_fleet_json(results: &[FleetResult], seed: u64, iters: usize, reference: bool) -> String {
+fn render_fleet_json(results: &[FleetResult], seed: u64, iters: usize) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"bench\": \"fleet\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"iters\": {iters},");
-    let _ = writeln!(s, "  \"reference_full_resync\": {reference},");
-    let _ = writeln!(s, "  \"reference_heap_queue\": {reference},");
     let _ = writeln!(
         s,
         "  \"available_parallelism\": {},",
@@ -482,18 +465,6 @@ fn render_fleet_json(results: &[FleetResult], seed: u64, iters: usize, reference
     s
 }
 
-/// Base run options for the bench (standard quick-scale settings plus the
-/// reference toggles; telemetry stays off — it is benchmarked by its own
-/// lockdown suite). Reference mode turns on both the full-scan wake
-/// resync and the `BinaryHeap` queue with per-event admission, i.e. the
-/// hot path as it was before either overhaul.
-fn bench_opts(ctx: &Ctx, reference: bool) -> RunOptions {
-    let mut o = ctx.run_options();
-    o.reference_full_resync = reference;
-    o.reference_heap_queue = reference;
-    o
-}
-
 /// Runs Base untimed and derives the calibrated goal from its mean
 /// response (the same `goal = factor × Base mean` rule the experiments
 /// use), without touching the context's run cache.
@@ -515,12 +486,12 @@ fn calibrate(
 }
 
 /// The 16-run quick T3 grid (HEADLINE + FixedSlow, both workloads).
-fn quick_t3(ctx: &Ctx, reference: bool) -> Scenario {
+fn quick_t3(ctx: &Ctx) -> Scenario {
     let mut runs = Vec::new();
     for w in [Workload::Oltp, Workload::Cello] {
         let config = ctx.array_config(w);
         let trace = ctx.trace(w);
-        let opts = bench_opts(ctx, reference);
+        let opts = ctx.run_options();
         let (_, goal) = calibrate(ctx, &config, &trace, &opts);
         for p in PolicyKind::HEADLINE
             .into_iter()
@@ -546,11 +517,11 @@ fn quick_t3(ctx: &Ctx, reference: bool) -> Scenario {
 }
 
 /// Base + Hibernator under the scripted fault storm, RAID-5-like.
-fn fault_storm(ctx: &Ctx, reference: bool) -> Scenario {
+fn fault_storm(ctx: &Ctx) -> Scenario {
     let mut config = ctx.array_config(Workload::Oltp);
     config.redundancy = Redundancy::Raid5Like;
     let trace = ctx.trace(Workload::Oltp);
-    let mut opts = bench_opts(ctx, reference);
+    let mut opts = ctx.run_options();
     opts.faults = Some(FaultPlan {
         schedule: crate::faults::storm(ctx.duration_s()),
         config: FaultConfig::default(),
@@ -577,10 +548,10 @@ fn fault_storm(ctx: &Ctx, reference: bool) -> Scenario {
 }
 
 /// Base + Hibernator at 2× OLTP load (the F6 congested point).
-fn f6_highload(ctx: &Ctx, reference: bool) -> Scenario {
+fn f6_highload(ctx: &Ctx) -> Scenario {
     let config = ctx.array_config(Workload::Oltp);
     let trace = ctx.trace_with_load(Workload::Oltp, 2.0);
-    let opts = bench_opts(ctx, reference);
+    let opts = ctx.run_options();
     let (_, goal) = calibrate(ctx, &config, &trace, &opts);
     let runs = [PolicyKind::Base, PolicyKind::Hibernator]
         .into_iter()
@@ -604,14 +575,12 @@ fn f6_highload(ctx: &Ctx, reference: bool) -> Scenario {
 
 /// Hand-rolled JSON (std-only crate): scenarios plus the recorded pre-PR
 /// baseline, so the file is self-contained evidence of the trajectory.
-fn render_json(outcomes: &[Outcome], seed: u64, iters: usize, reference: bool) -> String {
+fn render_json(outcomes: &[Outcome], seed: u64, iters: usize) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"bench\": \"hotpath\",");
     let _ = writeln!(s, "  \"seed\": {seed},");
     let _ = writeln!(s, "  \"iters\": {iters},");
-    let _ = writeln!(s, "  \"reference_full_resync\": {reference},");
-    let _ = writeln!(s, "  \"reference_heap_queue\": {reference},");
     let _ = writeln!(
         s,
         "  \"quick_t3_floor_events_per_sec\": {QUICK_T3_FLOOR_EVENTS_PER_SEC},"

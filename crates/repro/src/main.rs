@@ -57,7 +57,7 @@ fn usage() -> ! {
          \x20      repro fleet [--arrays N] [--tenants N] [--budget-frac F] [common flags]\n\
          \x20      repro audit <stream.jsonl>\n\
          \x20      repro ingest <msr_trace.csv>\n\
-         \x20      repro bench [--seed N] [--out DIR] [--iters N] [--reference] \
+         \x20      repro bench [--seed N] [--out DIR] [--iters N] \
          [--check-floor]"
     );
     std::process::exit(2);
@@ -153,7 +153,6 @@ fn main() {
     let mut horizon_h: Option<f64> = None;
     let mut telemetry_out: Option<String> = None;
     let mut iters = 3usize;
-    let mut reference = false;
     let mut check_floor = false;
     let mut arrays = 4usize;
     let mut tenants = 8u32;
@@ -194,7 +193,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--reference" => reference = true,
             "--check-floor" => check_floor = true,
             "--arrays" => {
                 arrays = args
@@ -238,7 +236,7 @@ fn main() {
         if experiments.len() != 1 {
             usage();
         }
-        bench::bench(seed, &out, iters, reference, check_floor);
+        bench::bench(seed, &out, iters, check_floor);
         return;
     }
     if experiments.first().map(String::as_str) == Some("fleet") {

@@ -1,4 +1,4 @@
-//! The ladder backend of [`crate::EventQueue`]: a 128-rung radix bucket
+//! The ladder behind [`crate::EventQueue`]: a 128-rung radix bucket
 //! structure over the packed `(time, seq)` `u128` keys.
 //!
 //! A discrete-event simulation pops keys in ascending order and pushes

@@ -35,7 +35,7 @@ mod stats;
 mod time;
 
 pub use energy::{EnergyComponent, EnergyLedger};
-pub use events::{EventQueue, QueueBackend};
+pub use events::EventQueue;
 pub use idmap::IdMap;
 pub use rng::DetRng;
 pub use series::{SeriesBucket, TimeSeries};

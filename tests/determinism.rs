@@ -2,7 +2,10 @@
 //! policy parameters). Same inputs → bit-identical reports; different seeds
 //! → different microscopic outcomes.
 
+mod common;
+
 use array::{run_policy, ArrayConfig, BasePolicy, RunOptions, RunReport};
+use common::fingerprint;
 use hibernator::{Hibernator, HibernatorConfig};
 use policies::{DrpmPolicy, PdcPolicy, TpmPolicy};
 use simkit::SimDuration;
@@ -16,15 +19,6 @@ fn scenario(seed: u64) -> (ArrayConfig, workload::Trace, RunOptions) {
     config.disks = 4;
     config.seed = seed;
     (config, trace, RunOptions::for_horizon(900.0))
-}
-
-fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64) {
-    (
-        r.completed,
-        r.energy.total_joules().to_bits(),
-        r.response.mean().to_bits(),
-        r.response.raw_second_moment().to_bits(),
-    )
 }
 
 #[test]

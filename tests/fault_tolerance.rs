@@ -2,10 +2,13 @@
 //! conservation of the logical address space through failure + rebuild,
 //! and the Hibernator guard's forced boost on disk failure.
 
+mod common;
+
 use array::{
     run_policy, ArrayConfig, ArrayState, BasePolicy, PowerPolicy, Redundancy, RunOptions,
     RunReport, Simulation,
 };
+use common::fingerprint;
 use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 use hibernator::{Hibernator, HibernatorConfig};
 use simkit::{SimDuration, SimTime};
@@ -71,21 +74,9 @@ fn run_once() -> RunReport {
 fn faulted_run_is_bit_identical() {
     let a = run_once();
     let b = run_once();
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.incomplete, b.incomplete);
-    assert_eq!(a.transitions, b.transitions);
-    assert_eq!(a.faults, b.faults, "fault outcomes must replay exactly");
-    assert_eq!(a.reliability, b.reliability, "ledgers must replay exactly");
-    assert_eq!(
-        a.energy.total_joules().to_bits(),
-        b.energy.total_joules().to_bits(),
-        "energy must be bit-identical"
-    );
-    assert_eq!(
-        a.response.mean().to_bits(),
-        b.response.mean().to_bits(),
-        "response moments must be bit-identical"
-    );
+    // Counts, energy, response moments, fault outcomes and per-disk
+    // ledgers, all bit for bit.
+    assert_eq!(fingerprint(&a), fingerprint(&b), "faulted run must replay");
     // And the storm actually happened.
     assert!(a.faults.disk_failures >= 1);
     assert!(a.faults.transient_errors > 0);

@@ -9,12 +9,15 @@
 //!
 //! Why this must hold: `SpecStream` replays the batch generator's RNG
 //! draw order exactly (including the two-pass arrivals-clone trick for
-//! diurnal thinning), so the request sequences are equal; and the sim's
-//! `Feed` abstraction pulls one request ahead at the exact code point
-//! the sliced path reads the next trace element, so event-queue keys —
-//! and therefore FIFO tie-breaking — are unchanged.
+//! diurnal thinning), so the request sequences are equal; and both
+//! simulation constructors feed arrivals through the same one-ahead
+//! streaming path (a materialised trace is walked by a cursor), so
+//! event-queue keys — and therefore FIFO tie-breaking — are unchanged.
 
-use array::{run_policy, run_policy_streamed, ArrayConfig, RunOptions, RunReport, Simulation};
+mod common;
+
+use array::{run_policy, run_policy_streamed, ArrayConfig, RunOptions, Simulation};
+use common::fingerprint;
 use fleet::{run_fleet, BudgetSchedule, FleetSpec};
 use hibernator::{Hibernator, HibernatorConfig};
 use parallel::Pool;
@@ -58,30 +61,6 @@ fn hibernator() -> Hibernator {
     cfg.epoch = SimDuration::from_secs(180.0);
     cfg.heat_tau = SimDuration::from_secs(180.0);
     Hibernator::new(cfg)
-}
-
-/// Everything numeric a run reports, bit-exact.
-fn fingerprint(r: &RunReport) -> Vec<u64> {
-    vec![
-        r.completed,
-        r.incomplete,
-        r.events_processed,
-        r.transitions,
-        r.energy.total_joules().to_bits(),
-        r.response.mean().to_bits(),
-        r.response.raw_second_moment().to_bits(),
-        r.service.mean().to_bits(),
-        r.fg_sectors,
-        r.migration.committed,
-        r.migration.aborted,
-        r.migration.rebuilt,
-        r.migration.raw_writes,
-        r.faults.lost_requests,
-        r.faults.degraded_redirects,
-        r.faults.rebuild_chunks,
-        r.faults.retries,
-        r.faults.transient_errors,
-    ]
 }
 
 /// Runs the same (spec, seed, policy) both ways — materialised trace vs
@@ -251,4 +230,40 @@ fn week_long_horizon_runs_in_bounded_trace_memory() {
         pulled,
         "every pulled request must be admitted exactly once"
     );
+}
+
+#[test]
+fn borrowed_trace_feed_buffers_at_most_one_request() {
+    // A materialised trace stays with its owner: the simulation walks it
+    // with a cursor through the same one-ahead feed as a streaming
+    // source, so it too holds at most one request — and stepping it in
+    // segments changes nothing.
+    let spec = spec();
+    let trace = spec.generate(7);
+    let mut sim = Simulation::new(
+        config(),
+        array::BasePolicy,
+        &trace,
+        RunOptions::for_horizon(DURATION_S),
+    );
+    sim.start();
+    let mut t = 0.0;
+    while t < DURATION_S {
+        t += 60.0;
+        sim.step_until(SimTime::from_secs(t));
+        assert!(
+            sim.feed_resident() <= 1,
+            "borrowed-trace feed buffered {} requests",
+            sim.feed_resident()
+        );
+    }
+    let (stepped, _) = sim.finish();
+    let whole = run_policy(
+        config(),
+        array::BasePolicy,
+        &trace,
+        RunOptions::for_horizon(DURATION_S),
+    );
+    assert_eq!(fingerprint(&stepped), fingerprint(&whole));
+    assert_eq!(stepped.completed + stepped.incomplete, trace.len() as u64);
 }
