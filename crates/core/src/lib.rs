@@ -10,7 +10,7 @@
 //! * [`SpeedAllocator`] — the once-per-epoch optimisation choosing how many
 //!   disks spin at each speed: minimum predicted power subject to the goal
 //!   (exact DP, cross-checked against exhaustive search in tests);
-//! * [`match_disks`] / [`plan_migrations`] — minimal-disruption mapping of
+//! * [`match_disks`] / [`plan_migrations_filtered`] — minimal-disruption mapping of
 //!   the allocation onto concrete disks, plus hottest-first chunk moves so
 //!   fast disks hold hot data (bounded migration budget per epoch);
 //! * [`PerfGuard`] — the measured-response watchdog that boosts everything
@@ -38,6 +38,6 @@ pub use migpolicy::{
     plan_migrations_filtered, AnalyticPolicy, GraceTracker, MigrationConfig, MigrationPolicy,
     PlanOutcome, PolicyDecisionInfo, PolicyObservation, SpeedObservation, SpeedPlan,
 };
-pub use planner::{match_disks, plan_epoch, plan_migrations, EpochPlan};
+pub use planner::match_disks;
 pub use policy::{Hibernator, HibernatorConfig, HibernatorStats, MigrationMode};
 pub use predictor::{mg1_response, ServiceEstimator, RHO_SATURATION};

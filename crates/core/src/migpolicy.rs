@@ -18,18 +18,20 @@
 //! * **update period** — how often the policy refreshes its internal
 //!   ranking (0 = every epoch);
 //! * **move cap** — per-round job cap (combined with the host's epoch
-//!   budget by `min`);
-//! * **in-flight dedupe** — skip chunks whose previous move is still
-//!   copying instead of re-proposing them (the re-proposal would be
-//!   dropped by the engine and inflate its `dropped` counter).
+//!   budget by `min`).
 //!
-//! The first implementor, [`AnalyticPolicy`], wraps the original
-//! [`plan_migrations`] planner; with [`MigrationConfig::legacy`] it is
-//! bit-identical to the pre-trait code path (locked down by
-//! `tests/planner_equivalence.rs` and the `repro` telemetry golden).
+//! Config values select behaviour; no preset has a code path of its own.
+//! Every policy plans through [`plan_migrations_filtered`], which also
+//! always skips chunks whose previous move is still copying (re-proposing
+//! one would only be dropped by the engine and inflate its `dropped`
+//! counter).
+//!
+//! The first implementor, [`AnalyticPolicy`], is the paper's planner
+//! behind the trait: temperature ranking in, hottest chunks to the
+//! fastest tier out. It is the default [`Hibernator`](crate::Hibernator)
+//! brain, with the vacuous [`MigrationConfig::default`] filters.
 
 use crate::allocator::{Allocation, AllocationInput, SpeedAllocator};
-use crate::planner::plan_migrations;
 use crate::predictor::ServiceEstimator;
 use array::{ArrayState, ChunkId, MigrationJob};
 use diskmodel::SpeedLevel;
@@ -50,43 +52,32 @@ pub struct MigrationConfig {
     pub update_period: SimDuration,
     /// Per-round job cap, combined with the host's epoch budget by `min`.
     pub move_cap: usize,
-    /// Skip chunks whose previous move is still in flight.
-    pub dedupe_inflight: bool,
 }
 
-impl MigrationConfig {
-    /// The pre-trait planner behaviour: no grace, no thresholds, no
-    /// dedupe — every knob vacuous, so [`AnalyticPolicy`] reduces to a
-    /// plain [`plan_migrations`] call.
-    pub fn legacy() -> MigrationConfig {
+impl Default for MigrationConfig {
+    /// Every filter vacuous — no grace, no thresholds, no cap — so the
+    /// analytic planner moves whatever the epoch plan asks for (minus
+    /// chunks still in flight). The default Hibernator's config.
+    fn default() -> MigrationConfig {
         MigrationConfig {
             grace: SimDuration::ZERO,
             promote_threshold: 0.0,
             demote_threshold: f64::INFINITY,
             update_period: SimDuration::ZERO,
             move_cap: usize::MAX,
-            dedupe_inflight: false,
         }
     }
+}
 
+impl MigrationConfig {
     /// Sensible defaults for the adaptive policies: a 5-minute grace
-    /// period and in-flight dedupe, thresholds left vacuous (each policy
-    /// tightens them on its own score scale).
+    /// period, thresholds left vacuous (each policy tightens them on its
+    /// own score scale).
     pub fn adaptive() -> MigrationConfig {
         MigrationConfig {
             grace: SimDuration::from_mins(5.0),
-            dedupe_inflight: true,
-            ..MigrationConfig::legacy()
+            ..MigrationConfig::default()
         }
-    }
-
-    /// True when every filter is vacuous (the [`plan_migrations`] fast
-    /// path is exact).
-    pub fn is_vacuous(&self) -> bool {
-        self.grace.as_secs() == 0.0
-            && !self.dedupe_inflight
-            && self.promote_threshold <= 0.0
-            && self.demote_threshold.is_infinite()
     }
 }
 
@@ -191,9 +182,8 @@ pub trait MigrationPolicy: Send {
     /// enqueues exactly what is returned.
     fn propose(&mut self, obs: &PolicyObservation<'_>) -> Vec<MigrationJob>;
 
-    /// Accounting for the most recent round, or `None` to stay silent in
-    /// telemetry (the legacy analytic path stays silent so default
-    /// streams remain byte-identical to the pre-trait code).
+    /// Accounting for the most recent round, or `None` (the default) to
+    /// stay silent in telemetry.
     fn decision(&self) -> Option<PolicyDecisionInfo> {
         None
     }
@@ -259,21 +249,30 @@ pub struct PlanOutcome {
     pub jobs: Vec<MigrationJob>,
     /// Movers withheld by the grace period.
     pub deferred_grace: u32,
-    /// Movers withheld by in-flight dedupe.
+    /// Movers withheld because their previous move is still copying.
     pub deferred_inflight: u32,
     /// Movers withheld by the promote/demote hysteresis.
     pub skipped_threshold: u32,
 }
 
-/// The shared tier-assignment machinery behind every policy: the
-/// [`plan_migrations`] algorithm (hottest chunks to fastest tiers,
-/// balanced destinations) extended with the [`MigrationConfig`] filters.
+/// The one planning function behind every policy: the paper's chunk
+/// delta extended with the [`MigrationConfig`] filters.
 ///
 /// `ranking` is the policy's own chunk ordering (best candidate for the
-/// fastest tier first); `scores` is aligned with it and feeds the
-/// promote/demote thresholds (pass `&[]` to disable them). With a vacuous
-/// config this produces exactly the [`plan_migrations`] jobs.
-#[allow(clippy::too_many_arguments)] // mirrors plan_migrations plus the filter inputs
+/// fastest tier first) and `disk_levels` the epoch's per-disk targets
+/// (from [`match_disks`](crate::match_disks)). Chunks are assigned in
+/// ranking order to the fastest tier's alive disks (each taking an equal
+/// share), then the next tier, and so on; a [`MigrationJob::Relocate`] is
+/// proposed for every chunk not already on a disk of its target tier, to
+/// the least-filled disk of that tier, until `budget` jobs are proposed.
+///
+/// Before a move is proposed it must pass, in order: the grace period,
+/// the in-flight check (a chunk whose previous move is still copying is
+/// skipped), and the promote/demote thresholds on `scores`, which is
+/// aligned with `ranking` (pass `&[]` to disable them). With the default
+/// config and nothing in flight this is exactly the paper's unfiltered
+/// planner, which the unit tests keep as an oracle.
+#[allow(clippy::too_many_arguments)] // the plan inputs plus the filter state
 pub fn plan_migrations_filtered(
     state: &ArrayState,
     ranking: &[ChunkId],
@@ -334,7 +333,7 @@ pub fn plan_migrations_filtered(
                 out.deferred_grace += 1;
                 continue;
             }
-            if cfg.dedupe_inflight && state.migrator.chunk_in_flight(c) {
+            if state.migrator.chunk_in_flight(c) {
                 out.deferred_inflight += 1;
                 continue;
             }
@@ -367,11 +366,9 @@ pub fn plan_migrations_filtered(
     out
 }
 
-/// The original analytic planner behind the trait: temperature ranking in,
-/// [`plan_migrations`] out. With [`MigrationConfig::legacy`] (the host's
-/// default) the proposal — and the whole run — is bit-identical to the
-/// pre-trait code; with filters enabled it routes through
-/// [`plan_migrations_filtered`] like every other policy.
+/// The paper's analytic planner behind the trait: the host's temperature
+/// ranking in, [`plan_migrations_filtered`] out, one `policy` telemetry
+/// event per round.
 pub struct AnalyticPolicy {
     cfg: MigrationConfig,
     grace: GraceTracker,
@@ -379,11 +376,6 @@ pub struct AnalyticPolicy {
 }
 
 impl AnalyticPolicy {
-    /// The exact pre-trait behaviour (every filter vacuous).
-    pub fn legacy() -> AnalyticPolicy {
-        AnalyticPolicy::with_config(MigrationConfig::legacy())
-    }
-
     /// Analytic planning with the given filters.
     pub fn with_config(cfg: MigrationConfig) -> AnalyticPolicy {
         AnalyticPolicy {
@@ -404,17 +396,6 @@ impl MigrationPolicy for AnalyticPolicy {
     }
 
     fn propose(&mut self, obs: &PolicyObservation<'_>) -> Vec<MigrationJob> {
-        if self.cfg.is_vacuous() {
-            // The fast path IS the pre-trait planner call; stay silent in
-            // telemetry so legacy streams keep their exact bytes.
-            self.last = None;
-            return plan_migrations(
-                obs.state,
-                obs.ranking,
-                obs.disk_levels,
-                obs.budget.min(self.cfg.move_cap),
-            );
-        }
         self.grace.note_commits(obs.now, obs.state, self.cfg.grace);
         let out = plan_migrations_filtered(
             obs.state,
@@ -446,7 +427,7 @@ impl MigrationPolicy for AnalyticPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array::{ArrayConfig, ArrayStats, MigrationEngine, RemapTable};
+    use array::{ArrayConfig, ArrayStats, DiskId, MigrationEngine, RemapTable};
     use diskmodel::Disk;
 
     fn mk_state(disks: usize, chunks: u32) -> ArrayState {
@@ -473,25 +454,106 @@ mod tests {
         vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)]
     }
 
-    /// With every filter vacuous, the filtered planner reproduces
-    /// `plan_migrations` exactly — job for job, across budgets.
+    /// The paper's unfiltered planner, as it stood before the filters:
+    /// the oracle the filtered planner must reproduce when every filter
+    /// is vacuous and nothing is in flight.
+    fn plan_migrations(
+        state: &ArrayState,
+        ranking: &[ChunkId],
+        disk_levels: &[SpeedLevel],
+        budget: usize,
+    ) -> Vec<MigrationJob> {
+        let n = disk_levels.len();
+        if n == 0 || ranking.is_empty() || budget == 0 {
+            return Vec::new();
+        }
+        let alive = state.alive_disks();
+        if alive == 0 {
+            return Vec::new();
+        }
+        let cpd = ranking.len().div_ceil(alive);
+        let levels = state.config.spec.num_levels();
+        let mut tier_disks: Vec<Vec<DiskId>> = vec![Vec::new(); levels];
+        for (i, &l) in disk_levels.iter().enumerate() {
+            if !state.disks[i].has_failed() {
+                tier_disks[l.index()].push(DiskId(i));
+            }
+        }
+        let mut fill: Vec<usize> = vec![0; n];
+        let mut jobs = Vec::new();
+        let mut rank_iter = ranking.iter();
+        'tiers: for level in (0..levels).rev() {
+            let disks = &tier_disks[level];
+            if disks.is_empty() {
+                continue;
+            }
+            let members: Vec<ChunkId> = rank_iter
+                .by_ref()
+                .take(disks.len() * cpd)
+                .copied()
+                .collect();
+            let mut movers = Vec::new();
+            for &c in &members {
+                let cur = state.remap.disk_of(c);
+                if disks.contains(&cur) {
+                    fill[cur.index()] += 1;
+                } else {
+                    movers.push(c);
+                }
+            }
+            for c in movers {
+                let &dst = disks
+                    .iter()
+                    .min_by_key(|d| fill[d.index()])
+                    .expect("tier non-empty");
+                fill[dst.index()] += 1;
+                jobs.push(MigrationJob::Relocate { chunk: c, dst });
+                if jobs.len() >= budget {
+                    break 'tiers;
+                }
+            }
+        }
+        jobs
+    }
+
+    /// One default-config planning round with a fresh grace tracker.
+    fn plan(
+        state: &ArrayState,
+        ranking: &[ChunkId],
+        disk_levels: &[SpeedLevel],
+        budget: usize,
+    ) -> PlanOutcome {
+        plan_migrations_filtered(
+            state,
+            ranking,
+            &[],
+            disk_levels,
+            &MigrationConfig::default(),
+            budget,
+            &mut GraceTracker::new(),
+            SimTime::ZERO,
+        )
+    }
+
+    fn relocations(jobs: &[MigrationJob]) -> Vec<(u32, usize)> {
+        jobs.iter()
+            .map(|j| match j {
+                MigrationJob::Relocate { chunk, dst } => (chunk.0, dst.index()),
+                other => panic!("unexpected job {other:?}"),
+            })
+            .collect()
+    }
+
+    /// With every filter vacuous and nothing in flight, the filtered
+    /// planner reproduces the unfiltered oracle exactly — job for job,
+    /// across budgets.
     #[test]
     fn vacuous_filters_match_reference_planner() {
         for (chunks, budget) in [(16u32, 100usize), (32, 5), (48, 1), (16, 3)] {
             let state = mk_state(4, chunks);
             let ranking: Vec<ChunkId> = (0..chunks).rev().map(ChunkId).collect();
             let reference = plan_migrations(&state, &ranking, &split_levels(), budget);
-            let mut grace = GraceTracker::new();
-            let filtered = plan_migrations_filtered(
-                &state,
-                &ranking,
-                &[],
-                &split_levels(),
-                &MigrationConfig::legacy(),
-                budget,
-                &mut grace,
-                SimTime::ZERO,
-            );
+            let filtered = plan(&state, &ranking, &split_levels(), budget);
             assert_eq!(reference, filtered.jobs, "chunks={chunks} budget={budget}");
             assert_eq!(filtered.deferred_grace, 0);
             assert_eq!(filtered.deferred_inflight, 0);
@@ -499,57 +561,45 @@ mod tests {
     }
 
     /// Regression for the epoch-shorter-than-migration-latency bug: a
-    /// chunk whose move is mid-copy must not be re-proposed when dedupe is
-    /// on (the duplicate would be dropped by the engine), while the legacy
-    /// planner (dedupe off) visibly re-plans it.
+    /// chunk whose move is mid-copy must not be re-proposed (the duplicate
+    /// would be dropped by the engine), while the unfiltered oracle
+    /// visibly re-plans it. Every other chunk the oracle moves still
+    /// moves.
     #[test]
     fn inflight_dedupe_skips_busy_chunks() {
         let mut state = mk_state(4, 16);
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
-        let first = plan_migrations(&state, &ranking, &split_levels(), 100);
+        let first = plan(&state, &ranking, &split_levels(), 100).jobs;
         assert!(!first.is_empty());
         // Start the first job copying (pump holds it active until its read
         // and write complete — which never happens here).
-        state.migrator.enqueue(first.clone());
+        state.migrator.enqueue(first);
         let mut remap = std::mem::replace(&mut state.remap, RemapTable::striped(&state.config));
         let reqs = state.migrator.pump(SimTime::ZERO, &mut remap);
         state.remap = remap;
         assert!(!reqs.is_empty(), "pump must start a job");
-        let busy: Vec<ChunkId> = ranking
+        let busy: Vec<u32> = ranking
             .iter()
-            .copied()
-            .filter(|&c| state.migrator.chunk_in_flight(c))
+            .filter(|&&c| state.migrator.chunk_in_flight(c))
+            .map(|c| c.0)
             .collect();
         assert!(!busy.is_empty(), "a chunk must be mid-copy");
 
-        // The legacy planner re-plans the busy chunk…
-        let replanned = plan_migrations(&state, &ranking, &split_levels(), 100);
+        // The oracle re-plans the busy chunk…
+        let oracle = relocations(&plan_migrations(&state, &ranking, &split_levels(), 100));
         assert!(
-            replanned
-                .iter()
-                .any(|j| matches!(j, MigrationJob::Relocate { chunk, .. } if busy.contains(chunk))),
-            "reference planner should re-plan the in-flight chunk"
+            oracle.iter().any(|(c, _)| busy.contains(c)),
+            "the oracle should re-plan the in-flight chunk"
         );
-        // …the deduped round does not.
-        let mut cfg = MigrationConfig::legacy();
-        cfg.dedupe_inflight = true;
-        let mut grace = GraceTracker::new();
-        let deduped = plan_migrations_filtered(
-            &state,
-            &ranking,
-            &[],
-            &split_levels(),
-            &cfg,
-            100,
-            &mut grace,
-            SimTime::ZERO,
-        );
-        assert!(
-            deduped.jobs.iter().all(
-                |j| !matches!(j, MigrationJob::Relocate { chunk, .. } if busy.contains(chunk))
-            ),
-            "dedupe must skip in-flight chunks"
-        );
+        // …the planner skips exactly the busy chunks and nothing else.
+        let deduped = plan(&state, &ranking, &split_levels(), 100);
+        let moved: Vec<u32> = relocations(&deduped.jobs).iter().map(|m| m.0).collect();
+        let expected: Vec<u32> = oracle
+            .iter()
+            .map(|m| m.0)
+            .filter(|c| !busy.contains(c))
+            .collect();
+        assert_eq!(moved, expected, "dedupe must skip in-flight chunks only");
         assert_eq!(deduped.deferred_inflight as usize, busy.len());
     }
 
@@ -559,8 +609,10 @@ mod tests {
     fn grace_blocks_recommitted_chunks() {
         let mut state = mk_state(4, 16);
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
-        let mut cfg = MigrationConfig::legacy();
-        cfg.grace = SimDuration::from_secs(100.0);
+        let cfg = MigrationConfig {
+            grace: SimDuration::from_secs(100.0),
+            ..MigrationConfig::default()
+        };
         let mut grace = GraceTracker::new();
         let round1 = plan_migrations_filtered(
             &state,
@@ -595,9 +647,11 @@ mod tests {
         let state = mk_state(4, 16);
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
         let scores = vec![0.5f64; 16]; // all below promote, above demote
-        let mut cfg = MigrationConfig::legacy();
-        cfg.promote_threshold = 1.0;
-        cfg.demote_threshold = 0.1;
+        let cfg = MigrationConfig {
+            promote_threshold: 1.0,
+            demote_threshold: 0.1,
+            ..MigrationConfig::default()
+        };
         let mut grace = GraceTracker::new();
         let out = plan_migrations_filtered(
             &state,
@@ -621,7 +675,7 @@ mod tests {
             &ranking,
             &scores,
             &split_levels(),
-            &MigrationConfig::legacy(),
+            &MigrationConfig::default(),
             100,
             &mut GraceTracker::new(),
             SimTime::ZERO,
@@ -637,7 +691,7 @@ mod tests {
         let mut remap = std::mem::replace(&mut state.remap, RemapTable::striped(&state.config));
         let _ = state
             .migrator
-            .note_disk_failed(SimTime::ZERO, array::DiskId(0), &mut remap);
+            .note_disk_failed(SimTime::ZERO, DiskId(0), &mut remap);
         state.remap = remap;
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
         let mut grace = GraceTracker::new();
@@ -656,5 +710,109 @@ mod tests {
                 assert_ne!(dst.index(), 0, "dead disk must not receive chunks");
             }
         }
+    }
+
+    #[test]
+    fn plan_moves_hot_chunks_to_fast_tier() {
+        let state = mk_state(4, 16);
+        // Ranking: chunks 2, 3 are hottest (they live on disks 2 and 3 under
+        // striping), the rest colder.
+        let ranking: Vec<ChunkId> = [2u32, 3, 6, 7, 0, 1, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15]
+            .iter()
+            .map(|&c| ChunkId(c))
+            .collect();
+        let jobs = plan(&state, &ranking, &split_levels(), 100).jobs;
+        // The hot chunks on slow disks (2, 3, 6, 7) must move to disks 0/1.
+        let mut moved = relocations(&jobs);
+        moved.sort_unstable();
+        for (chunk, dst) in &moved[..4.min(moved.len())] {
+            if [2, 3, 6, 7].contains(chunk) {
+                assert!(*dst <= 1, "hot chunk {chunk} routed to slow disk {dst}");
+            }
+        }
+        assert!(
+            jobs.len() >= 4,
+            "hot-on-slow and cold-on-fast chunks both need moves: {}",
+            jobs.len()
+        );
+    }
+
+    #[test]
+    fn plan_respects_budget_and_orders_hottest_first() {
+        let state = mk_state(4, 16);
+        let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
+        let all = plan(&state, &ranking, &split_levels(), 100).jobs;
+        let capped = plan(&state, &ranking, &split_levels(), 2).jobs;
+        assert_eq!(capped.len(), 2);
+        assert_eq!(&all[..2], &capped[..]);
+        // The config's move cap binds the same way.
+        let cfg = MigrationConfig {
+            move_cap: 2,
+            ..MigrationConfig::default()
+        };
+        let cap = plan_migrations_filtered(
+            &state,
+            &ranking,
+            &[],
+            &split_levels(),
+            &cfg,
+            100,
+            &mut GraceTracker::new(),
+            SimTime::ZERO,
+        );
+        assert_eq!(cap.jobs, capped);
+    }
+
+    #[test]
+    fn aligned_layout_needs_no_moves() {
+        let state = mk_state(2, 8);
+        // Striping: chunks 0,2,4,6 on disk 0; 1,3,5,7 on disk 1.
+        let disk_levels = vec![SpeedLevel(5), SpeedLevel(0)];
+        // Ranking exactly matches the current split: disk-0 chunks hottest.
+        let ranking: Vec<ChunkId> = [0u32, 2, 4, 6, 1, 3, 5, 7]
+            .iter()
+            .map(|&c| ChunkId(c))
+            .collect();
+        let jobs = plan(&state, &ranking, &disk_levels, 100).jobs;
+        assert!(jobs.is_empty(), "layout already matches: {jobs:?}");
+    }
+
+    #[test]
+    fn empty_inputs_no_jobs() {
+        let state = mk_state(2, 8);
+        let slow = [SpeedLevel(0), SpeedLevel(0)];
+        assert!(plan(&state, &[], &slow, 10).jobs.is_empty());
+        let ranking: Vec<ChunkId> = (0..8).map(ChunkId).collect();
+        assert!(plan(&state, &ranking, &slow, 0).jobs.is_empty());
+    }
+
+    #[test]
+    fn matched_disks_feed_the_planner() {
+        // The epoch's planning step end to end: allocation counts to
+        // concrete disks, then the chunk delta onto them.
+        let state = mk_state(4, 16);
+        let mut counts = vec![0; 6];
+        counts[0] = 2;
+        counts[5] = 2;
+        let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
+        let disk_levels = crate::match_disks(&state, &counts);
+        assert_eq!(disk_levels.len(), 4);
+        let jobs = plan(&state, &ranking, &disk_levels, 100).jobs;
+        assert!(!jobs.is_empty());
+        assert_eq!(jobs, plan_migrations(&state, &ranking, &disk_levels, 100));
+    }
+
+    #[test]
+    fn destinations_stay_balanced() {
+        let state = mk_state(4, 32);
+        let ranking: Vec<ChunkId> = (0..32).map(ChunkId).collect();
+        let jobs = plan(&state, &ranking, &split_levels(), 1000).jobs;
+        let mut per_dst = std::collections::HashMap::new();
+        for (_, dst) in relocations(&jobs) {
+            *per_dst.entry(dst).or_insert(0usize) += 1;
+        }
+        let max = per_dst.values().copied().max().unwrap_or(0);
+        let min = per_dst.values().copied().min().unwrap_or(0);
+        assert!(max - min <= 2, "unbalanced destinations: {per_dst:?}");
     }
 }

@@ -564,8 +564,9 @@ impl RunAcc {
             // 9. Migration grace (only for runs driven by a migration
             //    policy that emits `policy` events): no chunk started a
             //    new move inside the announced grace window of its last
-            //    commit. Legacy streams have no policy events and skip
-            //    this check entirely, like cache-accounting.
+            //    commit. Streams without policy events (power policies
+            //    other than Hibernator, or Hibernator without migration)
+            //    skip this check entirely, like cache-accounting.
             if self.policy_events > 0 {
                 checks.push(match &self.grace_violation {
                     Some(v) => Check {
@@ -1043,7 +1044,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_streams_skip_the_grace_check() {
+    fn streams_without_policy_events_skip_the_grace_check() {
         let out = audit_bytes(minimal_stream().as_bytes()).expect("parse");
         assert!(
             !out.runs[0]

@@ -155,9 +155,8 @@ pub enum Event {
         /// True if the layout actually changed.
         changed: bool,
     },
-    /// A migration policy finished a planning round (emitted only by
-    /// policies with filters active — the legacy analytic path stays
-    /// silent so pre-trait streams keep their exact bytes).
+    /// A Hibernator-hosted migration policy finished a planning round
+    /// (runs of other power policies carry none).
     PolicyDecision {
         /// Simulation time.
         time_s: f64,

@@ -10,7 +10,9 @@
 //! * dead disks never receive chunks;
 //! * identical observation histories yield identical proposals;
 //! * a full simulated run emits `policy` telemetry and survives the
-//!   replay audit, including the migration-grace invariant.
+//!   replay audit, including the migration-grace invariant;
+//! * the default Hibernator skips chunks still mid-copy at an epoch
+//!   boundary and reports the deferrals.
 //!
 //! New policies join the battery by adding a factory to [`registry`].
 
@@ -301,4 +303,72 @@ fn full_runs_emit_policy_events_and_pass_the_audit() {
             "{name}: the migration-grace check must have run"
         );
     }
+}
+
+/// Extracts the integer value of `"key":N` from a JSON line.
+fn int_field(line: &str, key: &str) -> Option<u64> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
+}
+
+#[test]
+fn default_hibernator_defers_inflight_chunks_and_passes_the_audit() {
+    // Epochs shorter than the migration backlog with one copy at a time:
+    // chunks are still mid-copy at the next planning round, which must
+    // skip rather than re-propose them — and say so in the stream.
+    let duration_s = 1800.0;
+    let mut spec = WorkloadSpec::oltp(duration_s, 30.0);
+    spec.extents = 2048;
+    spec.zipf_theta = 1.0;
+    let trace = spec.generate(17);
+    let mut config = ArrayConfig::default_for_volume(2 << 30);
+    config.disks = 8;
+    config.seed = 17;
+    let mut opts = RunOptions::for_horizon(duration_s);
+    // A goal 1.6x Base's mean response splits the array into speed tiers,
+    // so hot chunks have somewhere to go.
+    let base = run_policy(config.clone(), array::BasePolicy, &trace, opts.clone());
+    let mut cfg = HibernatorConfig::for_goal(base.response.mean() * 1.6);
+    cfg.epoch = SimDuration::from_secs(60.0);
+    cfg.heat_tau = SimDuration::from_secs(60.0);
+    opts.migration_inflight = 1;
+    opts.telemetry = Some(TelemetryConfig::new("default-inflight"));
+    let mut report = run_policy(config, Hibernator::new(cfg), &trace, opts);
+
+    let stream = report.telemetry.take().expect("stream captured");
+    let text = String::from_utf8_lossy(&stream.bytes).into_owned();
+    let rounds: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"policy\"") && l.contains("\"policy\":\"analytic\""))
+        .collect();
+    assert!(
+        !rounds.is_empty(),
+        "the default planner must emit PolicyDecision"
+    );
+    let deferred: u64 = rounds
+        .iter()
+        .map(|l| int_field(l, "deferred_inflight").expect("deferred_inflight field"))
+        .sum();
+    assert!(deferred > 0, "no in-flight chunk was deferred");
+    let outcome = telemetry::audit::audit_bytes(&stream.bytes).expect("well-formed stream");
+    assert!(
+        outcome.passed(),
+        "audit failed: {:?}",
+        outcome
+            .runs
+            .iter()
+            .flat_map(|r| r.checks.iter().filter(|c| !c.passed))
+            .collect::<Vec<_>>()
+    );
+    assert!(
+        outcome.runs.iter().all(|r| r
+            .checks
+            .iter()
+            .any(|c| c.name == "migration-grace" && c.passed)),
+        "the migration-grace check must have run"
+    );
 }
