@@ -11,6 +11,11 @@
 //! hashes were regenerated once when the planner began skipping in-flight
 //! chunks and emitting `PolicyDecision` events; the report fingerprints
 //! are still the pre-trait planner's.)
+//!
+//! Those variants never split the array into tiers, so they never move a
+//! chunk. The `migration/*` rows do: a Hibernator with one copy in flight
+//! and short epochs commits and dirty-aborts jobs, and on RAID-5 loses a
+//! disk while a job is copying.
 
 mod common;
 mod reference;
@@ -18,4 +23,26 @@ mod reference;
 #[test]
 fn trait_hosted_planner_is_bit_identical_to_the_reference() {
     reference::assert_rows_match_golden(&reference::planner_rows());
+}
+
+/// The `migration/*` rows drive the migration engine for real: the
+/// Hibernator commits jobs, a foreground write dirty-aborts one, and the
+/// disk failure tears down a job mid-copy.
+#[test]
+fn migration_rows_commit_abort_and_drop_jobs() {
+    let runs = reference::migration_runs();
+    for run in &runs {
+        let label = run.row.label();
+        let m = run.report.migration;
+        assert!(m.committed > 0, "{label}: no job committed");
+        assert!(m.aborted > 0, "{label}: no job aborted");
+    }
+    let failure = &runs[1];
+    assert!(failure.report.faults.retries > 0, "no transient retry");
+    assert!(failure.report.faults.disk_failures > 0, "no disk failure");
+    assert!(
+        String::from_utf8_lossy(&failure.stream).contains("\"ev\":\"mig_drop\""),
+        "the disk failure tore down no in-flight job"
+    );
+    reference::assert_rows_match_golden(&runs.into_iter().map(|r| r.row).collect::<Vec<_>>());
 }
