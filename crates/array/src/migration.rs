@@ -21,7 +21,7 @@
 use crate::remap::RemapTable;
 use crate::types::{ChunkId, DiskId};
 use diskmodel::{Completion, DiskRequest, IoKind, RequestClass};
-use simkit::{IdMap, SimTime};
+use simkit::{SimTime, Slab};
 use std::collections::{HashSet, VecDeque};
 use telemetry::MoveKind;
 
@@ -151,6 +151,9 @@ enum Phase {
 
 #[derive(Debug)]
 struct ActiveJob {
+    /// Telemetry job id, from the sequential `next_job_id` counter (the
+    /// slab slot is reused, so it cannot name the job in records).
+    id: u64,
     job: MigrationJob,
     phase: Phase,
     dirty: bool,
@@ -165,19 +168,19 @@ pub struct MigrationEngine {
     /// boost must not stall redundancy restoration) and survive
     /// [`MigrationEngine::clear_pending`].
     rebuild_pending: VecDeque<MigrationJob>,
-    /// Engine-assigned job ids are sequential, so the one-multiply `IdMap`
-    /// replaces SipHash on the per-piece completion path.
-    active: IdMap<ActiveJob>,
-    /// disk-request id → job id, for routing completions.
-    request_to_job: IdMap<u64>,
-    /// Requests whose job was torn down by a disk failure; their completions
-    /// (from surviving disks) are swallowed instead of panicking.
-    orphaned: HashSet<u64>,
+    /// In-flight jobs, keyed by slab slot.
+    active: Slab<ActiveJob>,
+    /// In-flight copy piece → its job's `active` slot, keyed by the piece's
+    /// request id minus `MIG_ID_BASE`. A disk failure that tears a job
+    /// down re-points its surviving pieces at `ORPHANED`, so their
+    /// completions are swallowed and never reach a job that later reuses
+    /// the slot. (Pieces queued on the dead disk never complete; their
+    /// orphaned slots stay occupied.)
+    request_to_job: Slab<u32>,
     /// Disks that have failed; jobs touching them are refused.
     dead: HashSet<usize>,
     active_rebuilds: usize,
     next_job_id: u64,
-    next_req_id: u64,
     max_inflight: usize,
     piece_sectors: u32,
     paused: bool,
@@ -191,6 +194,9 @@ pub struct MigrationEngine {
 /// can never collide with foreground ids handed out by the driver.
 const MIG_ID_BASE: u64 = 1 << 63;
 
+/// `request_to_job` value of a piece whose job was torn down.
+const ORPHANED: u32 = u32::MAX;
+
 impl MigrationEngine {
     /// Creates an engine allowing `max_inflight` concurrent jobs.
     ///
@@ -201,13 +207,11 @@ impl MigrationEngine {
         MigrationEngine {
             pending: VecDeque::new(),
             rebuild_pending: VecDeque::new(),
-            active: IdMap::with_capacity(max_inflight),
-            request_to_job: IdMap::new(),
-            orphaned: HashSet::new(),
+            active: Slab::with_capacity(max_inflight),
+            request_to_job: Slab::new(),
             dead: HashSet::new(),
             active_rebuilds: 0,
             next_job_id: 0,
-            next_req_id: MIG_ID_BASE,
             max_inflight,
             piece_sectors: 256, // 128 KiB pieces keep foreground stalls short
             paused: false,
@@ -270,14 +274,14 @@ impl MigrationEngine {
         sector: u64,
         sectors: u32,
         kind: IoKind,
-        job_id: u64,
+        job: u32,
         out: &mut Vec<(DiskId, DiskRequest)>,
     ) -> u32 {
         let mut off = 0;
         let mut pieces = 0;
         while off < sectors {
             let take = (sectors - off).min(self.piece_sectors);
-            let req = self.make_req(now, sector + u64::from(off), take, kind, job_id);
+            let req = self.make_req(now, sector + u64::from(off), take, kind, job);
             out.push((disk, req));
             off += take;
             pieces += 1;
@@ -350,7 +354,7 @@ impl MigrationEngine {
     /// Marks any in-flight job touching `chunk` dirty (called by the driver
     /// for every foreground **write**).
     pub fn note_foreground_write(&mut self, chunk: ChunkId) {
-        for job in self.active.values_mut() {
+        for (_, job) in self.active.iter_mut() {
             let touches = match job.job {
                 MigrationJob::Relocate { chunk: c, .. } => c == chunk,
                 MigrationJob::Swap { a, b } => a == chunk || b == chunk,
@@ -413,7 +417,7 @@ impl MigrationEngine {
     /// jobs over one chunk would race on its placement, so overlapping jobs
     /// are dropped at start (the planner re-plans next epoch anyway).
     fn chunk_busy(&self, chunk: ChunkId) -> bool {
-        self.active.values().any(|j| match j.job {
+        self.active.iter().any(|(_, j)| match j.job {
             MigrationJob::Relocate { chunk: c, .. } => c == chunk,
             MigrationJob::Swap { a, b } => a == chunk || b == chunk,
             MigrationJob::RawWrite { .. } => false,
@@ -453,8 +457,10 @@ impl MigrationEngine {
             return None;
         }
         let chunk_sectors = remap.chunk_sectors() as u32;
-        let job_id = self.next_job_id;
-        match job {
+        // The job as it will run (a rebuild may change destination), its
+        // reserved slot, the extents its first phase copies, and the
+        // Started record's destination disk.
+        let (job, reserved_slot, kind, extents, dst) = match job {
             MigrationJob::Rebuild { chunk, src, dst } => {
                 // The reserved destination may have filled up since the
                 // driver chose it; fall back to any live disk with space.
@@ -467,37 +473,9 @@ impl MigrationEngine {
                         (fallback, remap.reserve_slot(fallback)?)
                     }
                 };
-                let mut reads = Vec::new();
-                let pieces = self.make_pieces(
-                    now,
-                    src,
-                    remap.physical_sector(chunk),
-                    chunk_sectors,
-                    IoKind::Read,
-                    job_id,
-                    &mut reads,
-                );
-                self.active.insert(
-                    job_id,
-                    ActiveJob {
-                        job: MigrationJob::Rebuild { chunk, src, dst },
-                        phase: Phase::Reading { remaining: pieces },
-                        dirty: false,
-                        reserved_slot: Some(slot),
-                    },
-                );
-                self.active_rebuilds += 1;
-                self.next_job_id += 1;
-                self.record(
-                    now,
-                    job_id,
-                    MigrationRecordKind::Started {
-                        chunk: u64::from(chunk.0),
-                        src: src.index() as u32,
-                        dst: dst.index() as u32,
-                    },
-                );
-                Some(reads)
+                let read = (src, remap.physical_sector(chunk), chunk_sectors);
+                let job = MigrationJob::Rebuild { chunk, src, dst };
+                (job, Some(slot), IoKind::Read, vec![read], dst)
             }
             MigrationJob::Relocate { chunk, dst } => {
                 let src = remap.placement(chunk);
@@ -505,120 +483,64 @@ impl MigrationEngine {
                     return None; // already there — planner noise
                 }
                 let slot = remap.reserve_slot(dst)?;
-                let mut reads = Vec::new();
-                let pieces = self.make_pieces(
-                    now,
-                    src.disk,
-                    remap.physical_sector(chunk),
-                    chunk_sectors,
-                    IoKind::Read,
-                    job_id,
-                    &mut reads,
-                );
-                self.active.insert(
-                    job_id,
-                    ActiveJob {
-                        job,
-                        phase: Phase::Reading { remaining: pieces },
-                        dirty: false,
-                        reserved_slot: Some(slot),
-                    },
-                );
-                self.next_job_id += 1;
-                self.record(
-                    now,
-                    job_id,
-                    MigrationRecordKind::Started {
-                        chunk: u64::from(chunk.0),
-                        src: src.disk.index() as u32,
-                        dst: dst.index() as u32,
-                    },
-                );
-                Some(reads)
+                let read = (src.disk, remap.physical_sector(chunk), chunk_sectors);
+                (job, Some(slot), IoKind::Read, vec![read], dst)
             }
             MigrationJob::RawWrite {
                 disk,
                 sector,
                 sectors,
-            } => {
-                let mut writes = Vec::new();
-                let pieces = self.make_pieces(
-                    now,
-                    disk,
-                    sector,
-                    sectors,
-                    IoKind::Write,
-                    job_id,
-                    &mut writes,
-                );
-                self.active.insert(
-                    job_id,
-                    ActiveJob {
-                        job,
-                        phase: Phase::Writing { remaining: pieces },
-                        dirty: false,
-                        reserved_slot: None,
-                    },
-                );
-                self.next_job_id += 1;
-                self.record(
-                    now,
-                    job_id,
-                    MigrationRecordKind::Started {
-                        chunk: 0,
-                        src: disk.index() as u32,
-                        dst: disk.index() as u32,
-                    },
-                );
-                Some(writes)
-            }
+            } => (
+                job,
+                None,
+                IoKind::Write,
+                vec![(disk, sector, sectors)],
+                disk,
+            ),
             MigrationJob::Swap { a, b } => {
                 let pa = remap.placement(a);
                 let pb = remap.placement(b);
                 if pa.disk == pb.disk {
                     return None;
                 }
-                let mut reads = Vec::new();
-                let p1 = self.make_pieces(
-                    now,
-                    pa.disk,
-                    remap.physical_sector(a),
-                    chunk_sectors,
-                    IoKind::Read,
-                    job_id,
-                    &mut reads,
-                );
-                let p2 = self.make_pieces(
-                    now,
-                    pb.disk,
-                    remap.physical_sector(b),
-                    chunk_sectors,
-                    IoKind::Read,
-                    job_id,
-                    &mut reads,
-                );
-                self.active.insert(
-                    job_id,
-                    ActiveJob {
-                        job,
-                        phase: Phase::Reading { remaining: p1 + p2 },
-                        dirty: false,
-                        reserved_slot: None,
-                    },
-                );
-                self.next_job_id += 1;
-                self.record(
-                    now,
-                    job_id,
-                    MigrationRecordKind::Started {
-                        chunk: u64::from(a.0),
-                        src: pa.disk.index() as u32,
-                        dst: pb.disk.index() as u32,
-                    },
-                );
-                Some(reads)
+                let reads = vec![
+                    (pa.disk, remap.physical_sector(a), chunk_sectors),
+                    (pb.disk, remap.physical_sector(b), chunk_sectors),
+                ];
+                (job, None, IoKind::Read, reads, pb.disk)
             }
+        };
+        let id = self.next_job_id;
+        self.next_job_id += 1;
+        if matches!(job, MigrationJob::Rebuild { .. }) {
+            self.active_rebuilds += 1;
         }
+        let key = self.active.insert(ActiveJob {
+            id,
+            job,
+            phase: Phase::Reading { remaining: 0 },
+            dirty: false,
+            reserved_slot,
+        });
+        let mut out = Vec::new();
+        let mut remaining = 0;
+        for &(disk, sector, sectors) in &extents {
+            remaining += self.make_pieces(now, disk, sector, sectors, kind, key, &mut out);
+        }
+        self.active.get_mut(key).expect("just inserted").phase = match kind {
+            IoKind::Read => Phase::Reading { remaining },
+            IoKind::Write => Phase::Writing { remaining },
+        };
+        self.record(
+            now,
+            id,
+            MigrationRecordKind::Started {
+                chunk: Self::record_chunk(&job),
+                src: extents[0].0.index() as u32,
+                dst: dst.index() as u32,
+            },
+        );
+        Some(out)
     }
 
     fn make_req(
@@ -627,13 +549,10 @@ impl MigrationEngine {
         sector: u64,
         sectors: u32,
         kind: IoKind,
-        job_id: u64,
+        job: u32,
     ) -> DiskRequest {
-        let id = self.next_req_id;
-        self.next_req_id += 1;
-        self.request_to_job.insert(id, job_id);
         DiskRequest {
-            id,
+            id: MIG_ID_BASE + u64::from(self.request_to_job.insert(job)),
             sector,
             sectors,
             kind,
@@ -653,21 +572,21 @@ impl MigrationEngine {
         comp: &Completion,
         remap: &mut RemapTable,
     ) -> Vec<(DiskId, DiskRequest)> {
-        let req_id = comp.request.id;
-        if self.orphaned.remove(&req_id) {
+        let key = comp
+            .request
+            .id
+            .checked_sub(MIG_ID_BASE)
+            .and_then(|k| u32::try_from(k).ok())
+            .and_then(|k| self.request_to_job.remove(k))
+            .expect("unknown migration completion");
+        self.stats.sectors_moved += u64::from(comp.request.sectors);
+        if key == ORPHANED {
             // The job this piece belonged to was torn down by a disk
             // failure; the I/O happened, but there is nothing to advance.
-            self.stats.sectors_moved += u64::from(comp.request.sectors);
             return Vec::new();
         }
-        let job_id = *self
-            .request_to_job
-            .get(req_id)
-            .expect("unknown migration completion");
-        self.request_to_job.remove(req_id);
-        self.stats.sectors_moved += u64::from(comp.request.sectors);
 
-        let job = self.active.get_mut(job_id).expect("job state missing");
+        let job = self.active.get_mut(key).expect("job state missing");
         match &mut job.phase {
             Phase::Reading { remaining } => {
                 *remaining -= 1;
@@ -703,12 +622,12 @@ impl MigrationEngine {
                         sector,
                         chunk_sectors,
                         IoKind::Write,
-                        job_id,
+                        key,
                         &mut out,
                     );
                 }
                 // Reborrow the job (make_pieces needed &mut self).
-                let job = self.active.get_mut(job_id).expect("job still active");
+                let job = self.active.get_mut(key).expect("job still active");
                 job.phase = Phase::Writing { remaining: count };
                 out
             }
@@ -718,7 +637,8 @@ impl MigrationEngine {
                     return Vec::new();
                 }
                 // Job complete: commit unless dirtied.
-                let job = self.active.remove(job_id).expect("job vanished");
+                let job = self.active.remove(key).expect("job vanished");
+                let job_id = job.id;
                 let chunk_bytes = remap.chunk_sectors() * 512;
                 if job.dirty {
                     self.stats.aborted += 1;
@@ -853,32 +773,27 @@ impl MigrationEngine {
         }
         self.rebuild_pending = keep;
 
-        // Active jobs touching the disk: aborted mid-copy. Map iteration is
-        // slot-ordered, not id-ordered — sort so the Dropped records and
-        // stats fold in a canonical order regardless of table history.
-        let mut doomed: Vec<u64> = self
+        // Active jobs touching the disk: aborted mid-copy. Slab iteration
+        // is slot-ordered, not id-ordered — sort by job id so the Dropped
+        // records and stats fold in a canonical order regardless of slot
+        // history.
+        let mut doomed: Vec<(u64, u32)> = self
             .active
             .iter()
             .filter(|(_, a)| touches(&a.job, remap))
-            .map(|(id, _)| id)
+            .map(|(key, a)| (a.id, key))
             .collect();
         doomed.sort_unstable();
-        for job_id in doomed {
-            let job = self.active.remove(job_id).expect("doomed job present");
+        for (job_id, key) in doomed {
+            let job = self.active.remove(key).expect("doomed job present");
             let chunk = Self::record_chunk(&job.job);
             self.record(now, job_id, MigrationRecordKind::Dropped { chunk });
             // Outstanding pieces on surviving disks will still complete;
-            // mark them orphans so those completions are swallowed.
-            let mut outstanding: Vec<u64> = self
-                .request_to_job
-                .iter()
-                .filter(|(_, j)| **j == job_id)
-                .map(|(r, _)| r)
-                .collect();
-            outstanding.sort_unstable();
-            for req_id in outstanding {
-                self.request_to_job.remove(req_id);
-                self.orphaned.insert(req_id);
+            // orphan them so those completions are swallowed.
+            for (_, owner) in self.request_to_job.iter_mut() {
+                if *owner == key {
+                    *owner = ORPHANED;
+                }
             }
             match job.job {
                 MigrationJob::Relocate { dst, .. } => {
@@ -944,7 +859,7 @@ mod tests {
             ));
         }
         if dirty_after_read {
-            let job = engine.active.values().next().unwrap().job;
+            let job = engine.active.iter().next().unwrap().1.job;
             match job {
                 MigrationJob::Relocate { chunk, .. } => engine.note_foreground_write(chunk),
                 MigrationJob::Swap { a, .. } => engine.note_foreground_write(a),
@@ -1258,6 +1173,89 @@ mod tests {
         }]);
         assert!(e.pump(SimTime::ZERO, &mut t).is_empty());
         assert!(e.is_quiescent());
+        t.check_invariants().unwrap();
+    }
+
+    /// A torn-down job's slot is reused by the next job while the old
+    /// job's surviving pieces are still queued: their completions must be
+    /// swallowed, never advance the new job, and the new job must commit
+    /// to its own destination.
+    #[test]
+    fn orphaned_pieces_never_reach_a_job_that_reuses_the_slot() {
+        let mut t = remap(4, 16);
+        let mut e = MigrationEngine::new(1);
+        e.set_recording(true);
+        // Job A reads chunk 0 from disk 0 and is bound for disk 2.
+        e.enqueue([MigrationJob::Relocate {
+            chunk: ChunkId(0),
+            dst: DiskId(2),
+        }]);
+        let stale = e.pump(SimTime::ZERO, &mut t);
+        let slot_a = e.active.iter().next().unwrap().0;
+        // Disk 2 dies: A is dropped, its reads on disk 0 survive.
+        e.note_disk_failed(SimTime::from_secs(1.0), DiskId(2), &mut t);
+        assert_eq!(e.active_len(), 0);
+
+        // Job B moves chunk 1 (disk 1) to disk 3, in A's freed slot.
+        e.enqueue([MigrationJob::Relocate {
+            chunk: ChunkId(1),
+            dst: DiskId(3),
+        }]);
+        let reads = e.pump(SimTime::from_secs(2.0), &mut t);
+        assert_eq!(
+            e.active.iter().next().unwrap().0,
+            slot_a,
+            "B reuses A's slot"
+        );
+        assert!(reads
+            .iter()
+            .all(|(_, r)| stale.iter().all(|(_, s)| s.id != r.id)));
+
+        // A's pieces land now: swallowed, B untouched.
+        for (_, r) in &stale {
+            assert!(e
+                .on_completion(SimTime::from_secs(3.0), &complete(*r, 3.0), &mut t)
+                .is_empty());
+        }
+        assert!(matches!(
+            e.active.get(slot_a).unwrap().phase,
+            Phase::Reading { remaining: 8 }
+        ));
+
+        let mut writes = Vec::new();
+        for (_, r) in &reads {
+            writes.extend(e.on_completion(SimTime::from_secs(4.0), &complete(*r, 4.0), &mut t));
+        }
+        assert!(writes.iter().all(|(d, _)| *d == DiskId(3)));
+        for (_, w) in &writes {
+            e.on_completion(SimTime::from_secs(5.0), &complete(*w, 5.0), &mut t);
+        }
+        assert_eq!(t.disk_of(ChunkId(1)), DiskId(3));
+        assert_eq!(t.disk_of(ChunkId(0)), DiskId(0), "A never committed");
+        assert_eq!((e.stats().committed, e.stats().aborted), (1, 1));
+        assert!(e.is_quiescent());
+        assert!(e.request_to_job.is_empty(), "every piece slot was freed");
+        let recs: Vec<(u64, MigrationRecordKind)> =
+            e.drain_records().iter().map(|r| (r.job, r.kind)).collect();
+        assert!(matches!(
+            recs[1],
+            (0, MigrationRecordKind::Dropped { chunk: 0 })
+        ));
+        assert!(matches!(
+            recs[2],
+            (1, MigrationRecordKind::Started { chunk: 1, .. })
+        ));
+        assert!(matches!(
+            recs[3],
+            (
+                1,
+                MigrationRecordKind::Moved {
+                    chunk: 1,
+                    dst: 3,
+                    ..
+                }
+            )
+        ));
         t.check_invariants().unwrap();
     }
 

@@ -40,10 +40,10 @@
 //!   the very next pop anyway, [`Self::handle_arrival`] processes it
 //!   inline, reserving its `(time, seq)` queue key so ordering and event
 //!   counts match the queued path exactly.
-//! * In-flight request state (piece→volume gather, pending volumes) lives
-//!   in [`simkit::Slab`] arenas whose slot indices *are* the request ids,
-//!   so the per-request maps never hash and never grow past peak
-//!   concurrency.
+//! * In-flight request state (piece→volume gather with each piece's retry
+//!   count, pending volumes) lives in [`simkit::Slab`] arenas whose slot
+//!   indices *are* the request ids, so the per-request maps never hash and
+//!   never grow past peak concurrency.
 //!
 //! Arrivals come from one streaming feed: [`Simulation::new`] walks a
 //! borrowed trace with a [`TraceCursor`], [`Simulation::from_source`]
@@ -65,8 +65,7 @@ use crate::MigrationEngine;
 use diskmodel::{Disk, DiskRequest, IoKind, RequestClass};
 use faults::{FaultInjector, FaultKind, FaultOutcome, FaultPlan, ReliabilityLedger};
 use simkit::{
-    EnergyLedger, EventQueue, IdMap, LatencyHistogram, Moments, SimDuration, SimTime, Slab,
-    TimeSeries,
+    EnergyLedger, EventQueue, LatencyHistogram, Moments, SimDuration, SimTime, Slab, TimeSeries,
 };
 use workload::{Trace, TraceCursor, TraceSource, VolumeIoKind, VolumeRequest};
 
@@ -222,10 +221,27 @@ struct RetryPayload {
     req: DiskRequest,
 }
 
-/// `gather` value for pieces that gate no volume response (parity and
+/// `Piece::parent` of pieces that gate no volume response (parity and
 /// deferred cache writes): they hold a request-id slot while in flight
 /// but point at no pending volume.
 const NO_PARENT: u32 = u32::MAX;
+
+/// An in-flight foreground piece: the `gather` slot its request id names.
+struct Piece {
+    /// The pending volume it gates, or `NO_PARENT`.
+    parent: u32,
+    /// Transient-retry attempts so far; dies with the slot.
+    attempts: u32,
+}
+
+impl Piece {
+    fn new(parent: u32) -> Self {
+        Piece {
+            parent,
+            attempts: 0,
+        }
+    }
+}
 
 struct PendingVolume {
     /// Pieces of this volume not yet dead or completed — the slot's
@@ -325,10 +341,9 @@ pub struct Simulation<'a, P: PowerPolicy> {
     events: EventQueue<Event>,
     scheduled: Vec<Option<SimTime>>,
     gens: Vec<u64>,
-    /// Piece → pending-volume slot, keyed by the piece's request id —
-    /// which *is* its slab slot, so the map never hashes. `NO_PARENT`
-    /// marks parity/deferred pieces that gate nothing.
-    gather: Slab<u32>,
+    /// In-flight pieces, keyed by the piece's request id — which *is* its
+    /// slab slot, so the map never hashes.
+    gather: Slab<Piece>,
     /// In-flight volumes, keyed by slab slot (the `gather` values).
     pending: Slab<PendingVolume>,
     /// Pending volumes neither completed nor lost — the report's
@@ -350,8 +365,6 @@ pub struct Simulation<'a, P: PowerPolicy> {
     victim_scratch: Vec<u32>,
     injector: Option<FaultInjector>,
     outcome: FaultOutcome,
-    /// Transient-retry attempts per foreground request id.
-    retries: IdMap<u32>,
     last_hazard_check: SimTime,
     events_processed: u64,
     /// `outcome.rebuild_chunks` value at the last recorded backlog drain,
@@ -472,7 +485,6 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             victim_scratch: Vec::new(),
             injector,
             outcome: FaultOutcome::default(),
-            retries: IdMap::new(),
             last_hazard_check: SimTime::ZERO,
             events_processed: 0,
             rebuilds_drained: 0,
@@ -764,7 +776,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             } else {
                 target_disk.index()
             };
-            let id = u64::from(self.gather.insert(parent));
+            let id = u64::from(self.gather.insert(Piece::new(parent)));
             let sub = DiskRequest {
                 id,
                 sector: phys,
@@ -785,7 +797,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                         // Gathered under NO_PARENT: parity does not gate
                         // response (write-back parity), but it does consume
                         // disk time and energy.
-                        let pid = u64::from(self.gather.insert(NO_PARENT));
+                        let pid = u64::from(self.gather.insert(Piece::new(NO_PARENT)));
                         let parity = DiskRequest {
                             id: pid,
                             sector: phys,
@@ -982,7 +994,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         } else {
             target_disk.index()
         };
-        let id = u64::from(self.gather.insert(NO_PARENT));
+        let id = u64::from(self.gather.insert(Piece::new(NO_PARENT)));
         let sub = DiskRequest {
             id,
             sector: phys,
@@ -996,7 +1008,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         self.state.migrator.note_foreground_write(chunk);
         if self.state.config.redundancy == Redundancy::Raid5Like {
             if let Some(p) = self.alive_partner(place.disk.index(), chunk) {
-                let pid = u64::from(self.gather.insert(NO_PARENT));
+                let pid = u64::from(self.gather.insert(Piece::new(NO_PARENT)));
                 let parity = DiskRequest {
                     id: pid,
                     sector: phys,
@@ -1077,11 +1089,14 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                     if let Some(inj) = self.injector.as_mut() {
                         if inj.transient_error(now, comp.disk) {
                             self.outcome.transient_errors += 1;
-                            let attempts = self.retries.get_or_insert_with(comp.request.id, || 0);
+                            let piece = self
+                                .gather
+                                .get_mut(comp.request.id as u32)
+                                .expect("a foreground piece holds its gather slot until it dies");
                             let cfg = inj.config();
-                            if *attempts < cfg.max_retries {
-                                *attempts += 1;
-                                let delay = f64::from(*attempts) * cfg.retry_backoff_s;
+                            if piece.attempts < cfg.max_retries {
+                                piece.attempts += 1;
+                                let delay = f64::from(piece.attempts) * cfg.retry_backoff_s;
                                 self.outcome.retries += 1;
                                 self.events.push(
                                     now + SimDuration::from_secs(delay),
@@ -1092,17 +1107,14 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                                 );
                             } else {
                                 // Retries exhausted: the piece is lost.
-                                self.retries.remove(comp.request.id);
-                                if let Some(parent) = self.gather.remove(comp.request.id as u32) {
-                                    if parent != NO_PARENT {
-                                        self.lose_parent(parent);
-                                        self.release_piece(parent);
-                                    }
+                                let parent = piece.parent;
+                                self.gather.remove(comp.request.id as u32);
+                                if parent != NO_PARENT {
+                                    self.lose_parent(parent);
+                                    self.release_piece(parent);
                                 }
                             }
                             retried = true;
-                        } else {
-                            self.retries.remove(comp.request.id);
                         }
                     }
                     if !retried {
@@ -1123,6 +1135,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         let volume_response = self
             .gather
             .remove(comp.request.id as u32)
+            .map(|piece| piece.parent)
             .and_then(|parent| {
                 // Parity and deferred cache writes consume disk time but
                 // gate no volume response.
@@ -1260,15 +1273,13 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             if req.class != RequestClass::Foreground {
                 continue; // migration pieces were handled by the engine
             }
-            let Some(&parent) = self.gather.get(req.id as u32) else {
+            let Some(&Piece { parent, .. }) = self.gather.get(req.id as u32) else {
                 continue;
             };
             if parent == NO_PARENT {
                 // Parity or deferred write: consumed load only, nothing
-                // gates on it — free its slot and drop it. (Stale retry
-                // attempts die with the id: slots recycle.)
+                // gates on it — free its slot (and retry count) and drop it.
                 self.gather.remove(req.id as u32);
-                self.retries.remove(req.id);
                 continue;
             }
             let slot = (req.sector / cs) as u32;
@@ -1284,7 +1295,6 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                 }
                 None => {
                     self.gather.remove(req.id as u32);
-                    self.retries.remove(req.id);
                     self.lose_parent(parent);
                     self.release_piece(parent);
                 }
@@ -1362,8 +1372,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                     self.state.wake_marks.mark(p);
                 }
                 None => {
-                    self.retries.remove(req.id);
-                    if let Some(parent) = self.gather.remove(req.id as u32) {
+                    if let Some(Piece { parent, .. }) = self.gather.remove(req.id as u32) {
                         if parent != NO_PARENT {
                             self.lose_parent(parent);
                             self.release_piece(parent);

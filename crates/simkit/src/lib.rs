@@ -7,10 +7,10 @@
 //!   simulated timeline in seconds.
 //! * **Events** — [`EventQueue`], a deterministic priority queue with FIFO
 //!   tie-breaking so simulations replay bit-identically.
-//! * **Id maps** — [`IdMap`], a one-multiply open-addressed map for the
-//!   sequential ids the simulator assigns on its hot path.
 //! * **Slabs** — [`Slab`], a free-list arena whose slot indices double as
-//!   the ids of in-flight records, killing per-request allocation.
+//!   the ids of in-flight records (request pieces with their retry counts,
+//!   pending volumes, migration jobs and their copy pieces), so no
+//!   per-request map hashes or grows past peak concurrency.
 //! * **Randomness** — [`DetRng`], labelled deterministic random streams
 //!   derived from one experiment seed.
 //! * **Statistics** — [`Moments`], [`LatencyHistogram`], [`FixedHistogram`],
@@ -26,7 +26,6 @@
 
 mod energy;
 mod events;
-mod idmap;
 mod ladder;
 mod rng;
 mod series;
@@ -36,7 +35,6 @@ mod time;
 
 pub use energy::{EnergyComponent, EnergyLedger};
 pub use events::EventQueue;
-pub use idmap::IdMap;
 pub use rng::DetRng;
 pub use series::{SeriesBucket, TimeSeries};
 pub use slab::Slab;

@@ -1,8 +1,9 @@
 //! A free-list slab: dense, reusing storage for short-lived records keyed
 //! by small integers.
 //!
-//! The simulator's in-flight request state (gather counters, pending
-//! parent volumes) is born and dies millions of times per run. A hash- or
+//! The simulator's in-flight request state (gather entries with their
+//! retry counts, pending parent volumes, migration jobs and their copy
+//! pieces) is born and dies millions of times per run. A hash- or
 //! probe-based map pays a key hash plus probe chain on every touch and
 //! grows without bound as ids march upward; the slab instead hands out
 //! *slot indices* as the ids themselves, so every access is one bounds
@@ -121,6 +122,26 @@ impl<T> Slab<T> {
         matches!(self.slots.get(key as usize), Some(Slot::Full(_)))
     }
 
+    /// Live records in key order, as `(key, &record)`. Walks every slot
+    /// up to the high-water mark, so it suits small, rarely scanned slabs.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.slots.iter().enumerate().filter_map(|(k, s)| match s {
+            Slot::Full(v) => Some((k as u32, v)),
+            Slot::Free(_) => None,
+        })
+    }
+
+    /// Live records in key order, as `(key, &mut record)`.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut T)> {
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(k, s)| match s {
+                Slot::Full(v) => Some((k as u32, v)),
+                Slot::Free(_) => None,
+            })
+    }
+
     /// Drops every record and resets the free list. Allocated capacity is
     /// retained.
     pub fn clear(&mut self) {
@@ -196,7 +217,8 @@ mod tests {
     }
 
     /// Oracle check against a HashMap through a deterministic churn of
-    /// inserts and removes — same live set, same values, at every step.
+    /// inserts and removes — same live set, same values, at every step,
+    /// and `iter` yields exactly that live set in key order.
     #[test]
     fn churn_matches_hashmap_oracle() {
         use std::collections::HashMap;
@@ -216,9 +238,25 @@ mod tests {
                 assert_eq!(s.remove(k), oracle.remove(&k));
             }
             assert_eq!(s.len(), oracle.len());
+            if i % 97 == 0 {
+                let mut want: Vec<(u32, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+                want.sort_unstable();
+                let got: Vec<(u32, u64)> = s.iter().map(|(k, &v)| (k, v)).collect();
+                assert_eq!(got, want, "iter disagrees with the oracle at step {i}");
+            }
         }
         for (&k, v) in &oracle {
             assert_eq!(s.get(k), Some(v));
+        }
+        for (k, v) in s.iter_mut() {
+            *v += u64::from(k);
+        }
+        for (&k, &v) in &oracle {
+            assert_eq!(
+                s.get(k),
+                Some(&(v + u64::from(k))),
+                "iter_mut missed key {k}"
+            );
         }
     }
 }
