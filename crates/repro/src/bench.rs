@@ -4,8 +4,9 @@
 //! (trace generation and goal calibration happen *outside* the timed
 //! region, so the numbers isolate simulation cost):
 //!
-//! * **quick_t3** — the full quick-scale T3 grid: 7 policies × 2 workloads
-//!   = 14 runs, the same set `repro --quick --jobs 1 t3` simulates;
+//! * **quick_t3** — the full quick-scale T3 grid: 8 policies (the seven
+//!   headline policies plus FixedSlow) × 2 workloads = 16 runs, the same
+//!   set `repro --quick --jobs 1 t3` simulates;
 //! * **fault_storm** — Base + Hibernator riding the scripted fault storm
 //!   on a RAID-5-like array (exercises retry, redirect, and rebuild
 //!   paths);
@@ -33,10 +34,13 @@ use faults::{FaultConfig, FaultPlan};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The pre-overhaul quick-t3 timing this PR is measured against: the sum
-/// of the 14 per-run wall-clock timings from `repro --quick --jobs 1 t3`
-/// at the commit preceding the hot-path overhaul (full wall clock
-/// including trace generation and CSV formatting was 13.7 s).
+/// The pre-overhaul quick-t3 timing the hot-path work is measured against:
+/// the sum of the 14 per-run wall-clock timings from
+/// `repro --quick --jobs 1 t3` at the commit preceding the hot-path
+/// overhaul (full wall clock including trace generation and CSV formatting
+/// was 13.7 s). The grid had 14 runs then; SleepScale has since joined the
+/// headline policies, so today's 16-run grid does more work and the
+/// speedups against both baselines understate the per-run gain.
 const BASELINE_QUICK_T3_RUN_SUM_S: f64 = 13.36;
 
 /// The quick-t3 run-sum at the commit preceding the ladder-queue /
@@ -583,6 +587,11 @@ fn render_json(outcomes: &[Outcome], seed: u64, iters: usize) -> String {
     let _ = writeln!(s, "  \"iters\": {iters},");
     let _ = writeln!(
         s,
+        "  \"available_parallelism\": {},",
+        parallel::available_parallelism()
+    );
+    let _ = writeln!(
+        s,
         "  \"quick_t3_floor_events_per_sec\": {QUICK_T3_FLOOR_EVENTS_PER_SEC},"
     );
     let _ = writeln!(s, "  \"baseline\": {{");
@@ -597,7 +606,7 @@ fn render_json(outcomes: &[Outcome], seed: u64, iters: usize) -> String {
     let _ = writeln!(s, "    \"quick_t3_wall_total_s\": 13.7,");
     let _ = writeln!(
         s,
-        "    \"note\": \"run_sum_s is the sum of the 14 per-run timings (trace generation and CSV formatting excluded), matching what this bench times; wall_total_s is the full command\""
+        "    \"note\": \"run_sum_s is the sum of the 14 per-run timings (trace generation and CSV formatting excluded) of the grid as it was then, on the original recording machine; the grid now has 16 runs (SleepScale joined the headline policies), so both speedups understate the per-run gain, and on another machine they also compare hosts; wall_total_s is the full command\""
     );
     let _ = writeln!(s, "  }},");
     let _ = writeln!(s, "  \"baseline_pre_ladder\": {{");
