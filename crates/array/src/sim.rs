@@ -174,7 +174,10 @@ pub struct RunReport {
     /// The serialized telemetry stream, when capture was enabled.
     pub telemetry: Option<telemetry::RunStream>,
     /// Per-tenant response histograms, indexed by tenant id — empty
-    /// unless [`RunOptions::tenant_sectors`] sharded the volume.
+    /// unless [`RunOptions::tenant_sectors`] sharded the volume. Slots run
+    /// up to the highest tenant id served; a histogram allocates its
+    /// bucket storage on its first sample, so a slot for a tenant this
+    /// array never served costs only the struct.
     pub tenant_latency: Vec<LatencyHistogram>,
 }
 
@@ -1441,8 +1444,9 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     }
 
     /// Books one completed response into its tenant's histogram. No-op
-    /// without tenant sharding; histograms grow on first touch so sparse
-    /// tenant ids cost only the slots up to the hottest one seen.
+    /// without tenant sharding. Slots grow on first touch up to the
+    /// highest tenant id seen; a slot for a tenant never served costs only
+    /// the histogram struct, since buckets are allocated on first sample.
     #[inline]
     fn record_tenant(&mut self, tenant: u32, resp_s: f64) {
         if self.opts.tenant_sectors.is_none() {

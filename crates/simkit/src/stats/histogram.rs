@@ -9,6 +9,10 @@
 
 /// A geometric-bucket histogram over positive values.
 ///
+/// Bucket storage is allocated on the first sample (or the first merge of
+/// a non-empty histogram), so a histogram that never sees a sample costs
+/// only the struct itself.
+///
 /// # Examples
 /// ```
 /// use simkit::LatencyHistogram;
@@ -28,6 +32,11 @@ pub struct LatencyHistogram {
     growth: f64,
     /// `ln(growth)` cached for bucket-index computation.
     ln_growth: f64,
+    /// Number of buckets in the layout, whether or not `counts` is
+    /// allocated yet.
+    buckets: usize,
+    /// Per-bucket counts: empty until the first sample lands, then
+    /// exactly `buckets` long.
     counts: Vec<u64>,
     total: u64,
     /// Count of samples at or below `floor` (kept inside bucket 0).
@@ -57,7 +66,8 @@ impl LatencyHistogram {
             floor,
             growth,
             ln_growth: growth.ln(),
-            counts: vec![0; buckets],
+            buckets,
+            counts: Vec::new(),
             total: 0,
             underflow: 0,
             min: f64::INFINITY,
@@ -70,7 +80,15 @@ impl LatencyHistogram {
             return 0;
         }
         let idx = ((x / self.floor).ln() / self.ln_growth).floor() as usize;
-        idx.min(self.counts.len() - 1)
+        idx.min(self.buckets - 1)
+    }
+
+    /// The bucket counts, allocated on first use.
+    fn counts_mut(&mut self) -> &mut [u64] {
+        if self.counts.is_empty() {
+            self.counts = vec![0; self.buckets];
+        }
+        &mut self.counts
     }
 
     /// Upper bound of bucket `i`.
@@ -91,7 +109,7 @@ impl LatencyHistogram {
             self.underflow += 1;
         }
         let i = self.bucket_index(x);
-        self.counts[i] += 1;
+        self.counts_mut()[i] += 1;
         self.total += 1;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
@@ -161,13 +179,11 @@ impl LatencyHistogram {
     pub fn merge(&mut self, other: &LatencyHistogram) {
         assert_eq!(self.floor, other.floor, "merge: floor mismatch");
         assert_eq!(self.growth, other.growth, "merge: growth mismatch");
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "merge: bucket-count mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        assert_eq!(self.buckets, other.buckets, "merge: bucket-count mismatch");
+        if other.total > 0 {
+            for (a, b) in self.counts_mut().iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.underflow += other.underflow;
@@ -212,10 +228,36 @@ mod tests {
 
     #[test]
     fn empty_histogram() {
-        let h = LatencyHistogram::new_latency();
+        let mut h = LatencyHistogram::new_latency();
+        assert_eq!(h.counts.capacity(), 0, "buckets allocated before a sample");
+        h.merge(&LatencyHistogram::new_latency());
+        assert_eq!(h.counts.capacity(), 0, "empty merge allocated buckets");
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.observed_max(), None);
+        assert!(h.cdf_points().is_empty());
+    }
+
+    #[test]
+    fn merge_with_an_empty_side_matches_eager_fill() {
+        let mut filled = LatencyHistogram::new_latency();
+        for i in 1..=300 {
+            filled.record(i as f64 * 3e-4);
+        }
+        let mut into_empty = LatencyHistogram::new_latency();
+        into_empty.merge(&filled);
+        let mut empty_into = filled.clone();
+        empty_into.merge(&LatencyHistogram::new_latency());
+        for h in [&into_empty, &empty_into] {
+            assert_eq!(h.count(), filled.count());
+            for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+                assert_eq!(h.quantile(q), filled.quantile(q), "q={q}");
+            }
+            assert_eq!(h.cdf_points(), filled.cdf_points());
+            assert_eq!(h.observed_min(), filled.observed_min());
+            assert_eq!(h.observed_max(), filled.observed_max());
+            assert_eq!(h.underflow_fraction(), filled.underflow_fraction());
+        }
     }
 
     #[test]
@@ -317,6 +359,14 @@ mod tests {
         h.reset();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), None);
+        assert_eq!(h.observed_min(), None);
+        assert!(h.cdf_points().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket-count mismatch")]
+    fn merge_rejects_mismatched_layout_even_when_empty() {
+        LatencyHistogram::new(1e-3, 1.1, 10).merge(&LatencyHistogram::new(1e-3, 1.1, 20));
     }
 
     #[test]
