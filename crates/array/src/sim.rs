@@ -656,17 +656,6 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         self.state.stats.response.mean()
     }
 
-    /// Copies the per-tenant completed-request counts so far into `out`
-    /// (cleared first; indexed by tenant id, length = one past the
-    /// highest tenant seen). Only populated when
-    /// [`RunOptions::tenant_sectors`] is set. Epoch-stepping drivers diff
-    /// successive snapshots to attribute completions to fleet epochs; the
-    /// call is allocation-free once `out` has reached capacity.
-    pub fn tenant_completed_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.tenant_lat.iter().map(LatencyHistogram::count));
-    }
-
     // ------------------------------------------------------------------
 
     fn handle_arrival(&mut self, now: SimTime, limit: SimTime) {

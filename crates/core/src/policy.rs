@@ -64,8 +64,6 @@ pub struct HibernatorConfig {
     pub coarse_grain_margin: f64,
     /// Data-migration mode (ablation knob; default temperature-driven).
     pub migration_mode: MigrationMode,
-    /// Print one diagnostic line per epoch decision to stderr.
-    pub log_epochs: bool,
     /// The allocator plans to `plan_margin × goal`, leaving headroom below
     /// the guard's trip line so marginal configs don't oscillate through
     /// boost/relax cycles.
@@ -103,7 +101,6 @@ impl HibernatorConfig {
             plan_margin: 0.85,
             allow_standby: false,
             standby_max_rate: 0.001,
-            log_epochs: false,
         }
     }
 }
@@ -258,12 +255,6 @@ impl Hibernator {
         self
     }
 
-    /// Random chunk placement each epoch (for the F7 ablation).
-    pub fn with_random_migration(mut self) -> Self {
-        self.cfg.migration_mode = MigrationMode::Random;
-        self
-    }
-
     /// Enables the standby extension (see
     /// [`HibernatorConfig::allow_standby`]).
     pub fn with_standby(mut self) -> Self {
@@ -341,20 +332,6 @@ impl Hibernator {
         if !new.feasible {
             self.stats.infeasible_epochs += 1;
         }
-        if self.cfg.log_epochs {
-            eprintln!(
-                "[hib] t={:.0}s epoch: corr={:.2} goal_eff={:.2}ms alloc={:?} feas={} pred_resp={:.2}ms pred_pw={:.0}W boosts={}",
-                now.as_secs(),
-                self.correction,
-                input.goal_s * 1e3,
-                new.per_level,
-                new.feasible,
-                new.predicted_response_s * 1e3,
-                new.predicted_power_w,
-                self.stats.boosts,
-            );
-        }
-
         // 3. Coarse-grain test: is the change worth its transition cost?
         let skipped_before = self.stats.skipped_by_coarse_grain;
         let adopted: Allocation = match &self.current {
@@ -875,7 +852,6 @@ mod tests {
             plan_margin: 0.85,
             allow_standby: false,
             standby_max_rate: 0.001,
-            log_epochs: false,
         }
     }
 

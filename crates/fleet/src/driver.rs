@@ -4,17 +4,16 @@
 //! each worker owns a contiguous block of array simulations for the whole
 //! run and serves one segment command per fleet epoch, so the lockstep
 //! barrier costs two mailbox hops per worker per epoch — no thread
-//! spawn/join, no simulation teardown, no trace re-materialization. All
-//! cross-thread fleet state (per-tenant heat, per-array draw, the live
-//! owner table) lives in a [`ShardMap`], written contention-free by the
-//! workers and drained deterministically by the controller at epoch
-//! boundaries. The steady path of an epoch allocates nothing: command and
-//! grant buffers ping-pong between controller and workers, and every
-//! controller-side vector is preallocated from the epoch count.
+//! spawn/join, no simulation teardown, no trace re-materialization. The
+//! only fleet state that crosses threads rides the mailboxes: each reply
+//! carries its block's per-array draws and completion total, which the
+//! controller copies out in array order. The steady path of an epoch
+//! allocates nothing: command, grant and draw buffers ping-pong between
+//! controller and workers, and every controller-side vector is
+//! preallocated from the epoch count.
 
 use crate::budget::{proportional_caps, BudgetSchedule};
 use crate::placement::{plan_placement, PlacementPlan};
-use crate::shardmap::ShardMap;
 use array::{ArrayConfig, PowerPolicy, RunOptions, RunReport, Simulation};
 use parallel::Pool;
 use simkit::{LatencyHistogram, SimDuration, SimTime};
@@ -80,14 +79,6 @@ impl FleetSpec {
             max_moves_per_epoch: 4,
         }
     }
-
-    /// The tenant-id universe the sims can actually produce: the spec's
-    /// `tenants` plus any folded-tail ids past the last full shard
-    /// (`sector / tenant_sectors` is unclamped on the recording side).
-    fn tenant_universe(&self) -> u32 {
-        let top = (self.config.volume_sectors().saturating_sub(1)) / self.tenant_sectors;
-        (top as u32 + 1).max(self.tenants)
-    }
 }
 
 /// One fleet-epoch boundary's arbiter decision, for reporting. Caps are
@@ -110,8 +101,8 @@ pub struct EpochRecord {
     /// [`FleetReport::cap_violation_s`]).
     pub violated: bool,
     /// Volume requests the fleet completed during this epoch's segment
-    /// (drained from the shard map's heat counters; epoch sums add up to
-    /// [`FleetReport::completed`] exactly).
+    /// (the change in the fleet's completion total across it; epoch sums
+    /// add up to [`FleetReport::completed`] exactly).
     pub completed: u64,
     /// Whether caps were granted at this boundary.
     granted: bool,
@@ -195,31 +186,21 @@ enum CapMode {
 
 /// One lockstep command: step every owned array to `limit`, after
 /// applying `mode` (with `caps` holding this worker's grant slice when
-/// granting). The cap buffer rides back in the response, so the pair
-/// ping-pongs between controller and worker without reallocation.
+/// granting). Both buffers ride back in the response, so they ping-pong
+/// between controller and worker without reallocation.
 struct SegCmd {
     limit: SimTime,
     mode: CapMode,
     caps: Vec<f64>,
+    draws: Vec<f64>,
 }
 
-/// A worker's reply: the recycled cap buffer. Draw, heat, and completion
-/// data travel through the [`ShardMap`] instead.
+/// A worker's reply: the recycled cap buffer, each owned array's trailing
+/// power observation in block order, and the block's total completions.
 struct SegRsp {
     caps: Vec<f64>,
-}
-
-/// One worker's persistent state: a contiguous block of arrays plus the
-/// snapshot scratch used to turn per-tenant completion counts into
-/// per-epoch deltas.
-struct Block<'a, P: PowerPolicy> {
-    /// Global index of `sims[0]`.
-    first: usize,
-    sims: Vec<Simulation<'a, P>>,
-    /// Per-sim previous tenant-completion snapshot.
-    prev: Vec<Vec<u64>>,
-    /// Snapshot scratch, reused across sims and epochs.
-    cur: Vec<u64>,
+    draws: Vec<f64>,
+    completed: u64,
 }
 
 /// Runs a fleet: shards the shared trace by the planned placement, steps
@@ -228,8 +209,8 @@ struct Block<'a, P: PowerPolicy> {
 /// re-grant power caps between segments, and rolls the per-array reports
 /// up into a [`FleetReport`].
 ///
-/// Workers publish draw and heat into a [`ShardMap`] with commutative
-/// atomic writes and the controller drains it in fixed shard order, so
+/// Workers reply with their blocks' draws and completion totals; the
+/// controller reads them back in array order and sums integers only, so
 /// results are bit-identical at any worker count.
 ///
 /// `make_policy(i)` builds array `i`'s policy; policies are constructed
@@ -295,15 +276,9 @@ where
         })
         .collect();
 
-    // The shared fleet state: per-tenant heat, per-array draw, the live
-    // owner table. Workers write contention-free; the controller drains
-    // in fixed shard order at epoch boundaries.
-    let shard = ShardMap::new(spec.tenant_universe(), spec.arrays);
-    shard.seed_owners(&placement.rows[0]);
-
     // Partition arrays into contiguous per-worker blocks.
     let workers = pool.workers().min(spec.arrays);
-    let mut blocks: Vec<Block<'_, P>> = Vec::with_capacity(workers);
+    let mut blocks: Vec<Vec<Simulation<'_, P>>> = Vec::with_capacity(workers);
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(workers);
     {
         let base = spec.arrays / workers;
@@ -312,12 +287,7 @@ where
         let mut first = 0usize;
         for w in 0..workers {
             let len = base + usize::from(w < rem);
-            blocks.push(Block {
-                first,
-                sims: sims.by_ref().take(len).collect(),
-                prev: (0..len).map(|_| Vec::new()).collect(),
-                cur: Vec::new(),
-            });
+            blocks.push(sims.by_ref().take(len).collect());
             ranges.push((first, len));
             first += len;
         }
@@ -347,44 +317,48 @@ where
     let mut caps_active = false;
     let mut epochs: Vec<EpochRecord> = Vec::with_capacity(num_epochs);
     let mut move_ix = 0usize;
-    let mut observed: Vec<f64> = Vec::with_capacity(spec.arrays);
+    // Each array's trailing power observation, in array order: zero
+    // before the first segment, then copied from the workers' replies.
+    let mut observed: Vec<f64> = vec![0.0; spec.arrays];
+    let mut fleet_completed = 0u64;
     let mut grant_buf: Vec<f64> = Vec::with_capacity(spec.arrays);
     let mut granted_caps: Vec<f64> = Vec::with_capacity(grant_lines);
-    let mut heat_scratch: Vec<u64> = Vec::with_capacity(spec.tenant_universe() as usize);
-    let mut lane_caps: Vec<Vec<f64>> = ranges
+    let mut lanes: Vec<(Vec<f64>, Vec<f64>)> = ranges
         .iter()
-        .map(|&(_, len)| Vec::with_capacity(len))
+        .map(|&(_, len)| (Vec::with_capacity(len), Vec::with_capacity(len)))
         .collect();
 
     // Per-epoch worker body: apply the cap action, step to the limit,
-    // then publish draw and per-tenant completion deltas into the map.
-    let serve = |_w: usize, block: &mut Block<'_, P>, cmd: SegCmd| {
-        let SegCmd { limit, mode, caps } = cmd;
-        for (i, sim) in block.sims.iter_mut().enumerate() {
+    // then reply with each array's draw and the block's completions.
+    let serve = |_w: usize, sims: &mut Vec<Simulation<'_, P>>, cmd: SegCmd| {
+        let SegCmd {
+            limit,
+            mode,
+            caps,
+            mut draws,
+        } = cmd;
+        draws.clear();
+        let mut completed = 0u64;
+        for (i, sim) in sims.iter_mut().enumerate() {
             match mode {
                 CapMode::Grant => sim.set_power_cap(Some(caps[i])),
                 CapMode::Lift => sim.set_power_cap(None),
                 CapMode::Keep => {}
             }
             sim.step_until(limit);
-            shard.record_draw(block.first + i, sim.observed_power_w());
-            sim.tenant_completed_into(&mut block.cur);
-            let prev = &mut block.prev[i];
-            for (t, &c) in block.cur.iter().enumerate() {
-                let p = prev.get(t).copied().unwrap_or(0);
-                if c > p {
-                    shard.record_heat(t as u32, c - p);
-                }
-            }
-            prev.clear();
-            prev.extend_from_slice(&block.cur);
+            draws.push(sim.observed_power_w());
+            completed += sim.completed();
         }
-        SegRsp { caps }
+        SegRsp {
+            caps,
+            draws,
+            completed,
+        }
     };
     // Hang-up finalizer: finish every owned sim on the worker's thread,
     // so report construction parallelizes like the stepping did.
-    let finish = |_w: usize, block: Block<'_, P>| -> Vec<(RunReport, P)> {
-        block.sims.into_iter().map(Simulation::finish).collect()
+    let finish = |_w: usize, sims: Vec<Simulation<'_, P>>| -> Vec<(RunReport, P)> {
+        sims.into_iter().map(Simulation::finish).collect()
     };
 
     let ((), finished) = parallel::lockstep(blocks, serve, finish, |team| {
@@ -402,14 +376,8 @@ where
                 None => budget_j = None,
             }
 
-            // Observe trailing per-array power (each array's last sample,
-            // published to its draw cell at the end of the previous
-            // segment — zero before the first) in ascending array order,
-            // so the demand sum is bit-identical at any worker count.
-            observed.clear();
-            for i in 0..spec.arrays {
-                observed.push(shard.draw(i));
-            }
+            // Sum the trailing observations in ascending array order, so
+            // the demand sum is bit-identical at any worker count.
             let demand_w: f64 = observed.iter().sum();
             emit(
                 Event::FleetEpoch {
@@ -458,7 +426,6 @@ where
             };
 
             // Tenant moves taking effect this epoch.
-            let move_start = move_ix;
             let mut moves = 0u32;
             while move_ix < placement.moves.len() && placement.moves[move_ix].epoch == k {
                 let m = placement.moves[move_ix];
@@ -474,44 +441,45 @@ where
                 moves += 1;
                 move_ix += 1;
             }
-            shard.apply_moves(&placement.moves[move_start..move_ix]);
-            debug_assert!(
-                {
-                    let row = &placement.rows[k.min(placement.rows.len() - 1)];
-                    row.iter()
-                        .enumerate()
-                        .all(|(t, &a)| shard.owner(t as u32) == a)
-                },
-                "owner table diverged from the placement plan at epoch {k}"
-            );
 
             // Dispatch the segment to every worker, then collect. The
-            // grant buffers ping-pong: sliced out of `grant_buf` here,
-            // returned by the worker in its response.
+            // buffers ping-pong: caps are sliced out of `grant_buf` here,
+            // draws are filled by the worker, and both come back in its
+            // response.
             let limit = SimTime::from_secs(end_s);
             for (w, &(start, len)) in ranges.iter().enumerate() {
-                let mut caps = std::mem::take(&mut lane_caps[w]);
+                let (mut caps, draws) = std::mem::take(&mut lanes[w]);
                 if matches!(mode, CapMode::Grant) {
                     caps.clear();
                     caps.extend_from_slice(&grant_buf[start..start + len]);
                 }
-                team.send(w, SegCmd { limit, mode, caps });
+                team.send(
+                    w,
+                    SegCmd {
+                        limit,
+                        mode,
+                        caps,
+                        draws,
+                    },
+                );
             }
-            for (w, lane) in lane_caps.iter_mut().enumerate() {
-                *lane = team.recv(w).caps;
+            let mut total = 0u64;
+            for (w, &(start, len)) in ranges.iter().enumerate() {
+                let rsp = team.recv(w);
+                observed[start..start + len].copy_from_slice(&rsp.draws);
+                total += rsp.completed;
+                lanes[w] = (rsp.caps, rsp.draws);
             }
+            let completed = total - fleet_completed;
+            fleet_completed = total;
 
             // Retrospective violation accounting: the trailing observation
             // at the segment's end reflects power *during* it.
-            let mut post_demand = 0.0f64;
-            for i in 0..spec.arrays {
-                post_demand += shard.draw(i);
-            }
+            let post_demand: f64 = observed.iter().sum();
             let violated = budget_w.is_some_and(|b| post_demand > b * (1.0 + 1e-9));
             if violated {
                 cap_violation_s += seg_len;
             }
-            let completed = shard.drain_heat_into(&mut heat_scratch);
             epochs.push(EpochRecord {
                 epoch: k as u32,
                 start_s,

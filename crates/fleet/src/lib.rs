@@ -20,19 +20,16 @@
 //!   per-array caps never exceeding the budget ([`proportional_caps`]),
 //!   and feeds them to each policy's planner via
 //!   `PowerPolicy::set_power_cap`.
-//! * The [`ShardMap`] — power-of-two-sharded, cache-line-padded fleet
-//!   state (per-tenant heat, per-array draw, the live owner table) that
-//!   the array workers update contention-free with commutative atomic
-//!   writes and the arbiter drains in fixed shard order.
 //!
 //! Arrays advance in lockstep fleet epochs via `Simulation::step_until`
 //! on a **persistent worker team** ([`parallel::lockstep`]): each worker
 //! owns its block of arrays for the whole run, commands and responses
 //! ride depth-1 mailboxes, and the steady path of an epoch allocates
-//! nothing. Because every cross-worker write commutes and every read is
-//! drained in fixed order, results are bit-identical at any worker
-//! count. A fleet of one array with an unlimited budget is bit-identical
-//! to the plain single-array run — telemetry bytes included — locked by
+//! nothing. Each reply carries its block's per-array draws and completion
+//! total; the arbiter reads them back in array order and sums completions
+//! as integers, so results are bit-identical at any worker count. A fleet
+//! of one array with an unlimited budget is bit-identical to the plain
+//! single-array run — telemetry bytes included — locked by
 //! `tests/fleet_equivalence.rs`.
 //!
 //! The rollup is a [`FleetReport`]: fleet energy vs integrated budget,
@@ -47,12 +44,10 @@
 mod budget;
 mod driver;
 mod placement;
-mod shardmap;
 
 pub use budget::{proportional_caps, BudgetSchedule};
 pub use driver::{run_fleet, EpochRecord, FleetReport, FleetSpec};
 pub use placement::{plan_placement, PlacementPlan, TenantMove};
-pub use shardmap::ShardMap;
 
 #[cfg(test)]
 mod tests {

@@ -136,6 +136,77 @@ fn arg_extreme(xs: &[u64], better: impl Fn(u64, u64) -> bool) -> usize {
 mod tests {
     use super::*;
 
+    /// Replays `plan.moves` over `rows[0]`, one epoch at a time: every
+    /// move must depart from the tenant's owner just before it, and the
+    /// owners after epoch `k`'s moves must equal `rows[k]`.
+    fn assert_moves_replay_rows(plan: &PlacementPlan) {
+        let mut owners = plan.rows[0].clone();
+        let mut moves = plan.moves.iter().peekable();
+        for (k, row) in plan.rows.iter().enumerate().skip(1) {
+            while let Some(m) = moves.next_if(|m| m.epoch == k) {
+                assert_eq!(
+                    owners[m.tenant as usize], m.from,
+                    "move {m:?} departs from the wrong array"
+                );
+                assert_ne!(m.from, m.to, "move {m:?} goes nowhere");
+                owners[m.tenant as usize] = m.to;
+            }
+            assert_eq!(&owners, row, "replayed owners diverge at epoch {k}");
+        }
+        assert_eq!(moves.next(), None, "moves out of epoch order or range");
+    }
+
+    #[test]
+    fn moves_replay_to_every_row() {
+        // The heat fixtures of the tests below, at the array counts they
+        // use and one more.
+        let fixtures: Vec<Vec<Vec<u64>>> = vec![
+            vec![vec![5, 5, 5, 5, 5, 5]],
+            vec![vec![100, 0, 0], vec![0, 100, 0], vec![0, 0, 100]],
+            vec![vec![90, 1, 40], vec![90, 1, 40], vec![90, 1, 40]],
+            vec![vec![50, 50, 50, 50], vec![50, 50, 50, 50]],
+            vec![vec![100, 1, 100, 1], vec![100, 1, 100, 1]],
+            vec![
+                vec![1000, 100, 60, 100, 60, 100, 60, 100],
+                vec![1000, 100, 60, 100, 60, 100, 60, 100],
+            ],
+            vec![vec![1000, 1, 1], vec![1000, 1, 1]],
+        ];
+        for heat in &fixtures {
+            for arrays in 1..=4 {
+                for budget in [1, 8, 100] {
+                    assert_moves_replay_rows(&plan_placement(heat, arrays, true, budget));
+                }
+            }
+        }
+
+        // Seeded random sweep: skewed heat (idle tenants, whales) over
+        // varied fleet shapes, so many epochs move several tenants.
+        let mut rng = simkit::DetRng::new(15, "placement-replay");
+        let mut total_moves = 0;
+        for _ in 0..300 {
+            let arrays = 1 + rng.below(6) as usize;
+            let tenants = 1 + rng.below(40) as usize;
+            let epochs = 1 + rng.below(8) as usize;
+            let heat: Vec<Vec<u64>> = (0..epochs)
+                .map(|_| {
+                    (0..tenants)
+                        .map(|_| match rng.below(10) {
+                            0..=2 => 0,
+                            3 => 500 + rng.below(5000),
+                            _ => rng.below(100),
+                        })
+                        .collect()
+                })
+                .collect();
+            let budget = 1 + rng.below(8) as usize;
+            let plan = plan_placement(&heat, arrays, true, budget);
+            total_moves += plan.moves.len();
+            assert_moves_replay_rows(&plan);
+        }
+        assert!(total_moves > 100, "sweep moved only {total_moves} tenants");
+    }
+
     #[test]
     fn first_epoch_is_round_robin() {
         let heat = vec![vec![5, 5, 5, 5, 5, 5]];

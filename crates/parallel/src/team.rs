@@ -244,9 +244,8 @@ mod tests {
 
     #[test]
     fn workers_borrow_shared_state() {
-        // The serve closure may capture shared references (the fleet
-        // driver captures its shard map); relaxed adds + the channel
-        // rendezvous make the total visible at finish.
+        // The serve closure may capture shared references; relaxed adds
+        // + the channel rendezvous make the total visible at finish.
         let total = AtomicU64::new(0);
         let (_, fins) = lockstep(
             vec![(); 3],

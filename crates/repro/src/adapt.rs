@@ -62,7 +62,7 @@ pub fn adapt(ctx: &Ctx) {
         let name = label(PolicyKind::Base);
         let mut opts = ctx.run_options();
         opts.telemetry = ctx.telemetry_config(&name, f64::MAX, ctx.warmup_s());
-        let mut r = ctx.run_kind_streamed(
+        let mut r = ctx.run_kind(
             PolicyKind::Base,
             config.clone(),
             sc.apply(&spec, ctx.seed),
@@ -85,13 +85,8 @@ pub fn adapt(ctx: &Ctx) {
                     ctx.timed(&name, || {
                         let mut opts = ctx.run_options();
                         opts.telemetry = ctx.telemetry_config(&name, goal, ctx.warmup_s());
-                        let mut r = ctx.run_kind_streamed(
-                            p,
-                            config.clone(),
-                            sc.apply(spec, ctx.seed),
-                            opts,
-                            goal,
-                        );
+                        let mut r =
+                            ctx.run_kind(p, config.clone(), sc.apply(spec, ctx.seed), opts, goal);
                         ctx.collect_stream(r.telemetry.take());
                         r
                     })

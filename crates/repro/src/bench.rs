@@ -33,6 +33,7 @@ use array::{Redundancy, RunOptions, RunReport};
 use faults::{FaultConfig, FaultPlan};
 use std::fmt::Write as _;
 use std::time::Instant;
+use workload::TraceCursor;
 
 /// The pre-overhaul quick-t3 timing the hot-path work is measured against:
 /// the sum of the 14 per-run wall-clock timings from
@@ -104,7 +105,7 @@ pub fn bench(seed: u64, out: &str, iters: usize, check_floor: bool) {
                 let report = ctx.run_kind(
                     r.policy,
                     r.config.clone(),
-                    &r.trace,
+                    TraceCursor::new(&r.trace),
                     r.opts.clone(),
                     r.goal_s,
                 );
@@ -481,7 +482,7 @@ fn calibrate(
     let base = ctx.run_kind(
         PolicyKind::Base,
         config.clone(),
-        trace,
+        TraceCursor::new(trace),
         opts.clone(),
         f64::MAX,
     );

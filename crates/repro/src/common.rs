@@ -24,7 +24,7 @@
 //! and all output formatting happens serially from ordered results,
 //! reports — and therefore CSVs — are bit-identical at any `--jobs` value.
 
-use array::{run_policy, run_policy_streamed, ArrayConfig, Redundancy, RunOptions, RunReport};
+use array::{run_policy_streamed, ArrayConfig, Redundancy, RunOptions, RunReport};
 use diskmodel::{DiskSpec, SpeedLevel};
 use hibernator::{Hibernator, HibernatorConfig, MigrationMode};
 use parallel::{OnceMap, Pool};
@@ -36,7 +36,7 @@ use simkit::{SimDuration, TimeSeries};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use workload::{Trace, TraceSource, WorkloadSpec};
+use workload::{Trace, TraceCursor, TraceSource, WorkloadSpec};
 
 /// Which workload a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -372,7 +372,9 @@ impl Ctx {
             };
             let label = format!("{}/{}", p.label(), w.label());
             opts.telemetry = self.telemetry_config(&label, goal, self.warmup_s());
-            let mut report = self.timed(&label, || self.run_kind(p, config, &trace, opts, goal));
+            let mut report = self.timed(&label, || {
+                self.run_kind(p, config, TraceCursor::new(&trace), opts, goal)
+            });
             self.collect_stream(report.telemetry.take());
             report
         })
@@ -470,98 +472,14 @@ impl Ctx {
 }
 
 impl Ctx {
-    /// Runs an arbitrary policy kind against a given config/trace. `goal_s`
-    /// is used by goal-aware policies and ignored by the rest. Hibernator
-    /// variants pick up the context's scale-appropriate epoch settings.
+    /// Runs an arbitrary policy kind against a given config, fed from any
+    /// [`TraceSource`]: a materialised trace through a [`TraceCursor`], or
+    /// a generated stream that never allocates the trace (the scenario
+    /// sweep's superposed/rewritten streams run at O(1) trace memory).
+    /// `goal_s` is used by goal-aware policies and ignored by the rest.
+    /// Hibernator variants pick up the context's scale-appropriate epoch
+    /// settings.
     pub fn run_kind(
-        &self,
-        p: PolicyKind,
-        config: ArrayConfig,
-        trace: &Trace,
-        opts: RunOptions,
-        goal_s: f64,
-    ) -> RunReport {
-        match p {
-            PolicyKind::Base => run_policy(config, array::BasePolicy, trace, opts),
-            PolicyKind::Tpm => run_policy(config, TpmPolicy::competitive(), trace, opts),
-            PolicyKind::Drpm => run_policy(config, DrpmPolicy::default(), trace, opts),
-            PolicyKind::Pdc => run_policy(config, PdcPolicy::default(), trace, opts),
-            PolicyKind::Maid => {
-                let cache_disks = (config.disks / 8).max(1) + 1; // 16 disks -> 3
-                let cfg = maid_array_config(config, cache_disks);
-                run_policy(
-                    cfg,
-                    MaidPolicy::new(MaidConfig {
-                        cache_disks,
-                        cache_chunks_per_disk: 2048,
-                        tpm_threshold_s: None,
-                    }),
-                    trace,
-                    opts,
-                )
-            }
-            PolicyKind::Hibernator => {
-                let cfg = self.hibernator_config(goal_s);
-                run_policy(config, Hibernator::new(cfg), trace, opts)
-            }
-            PolicyKind::HibernatorNoMig => {
-                let cfg = self.hibernator_config(goal_s);
-                run_policy(
-                    config,
-                    Hibernator::new(cfg).without_migration(),
-                    trace,
-                    opts,
-                )
-            }
-            PolicyKind::HibernatorRandMig => {
-                let mut cfg = self.hibernator_config(goal_s);
-                cfg.migration_mode = MigrationMode::Random;
-                run_policy(config, Hibernator::new(cfg), trace, opts)
-            }
-            PolicyKind::HibernatorNoGuard => {
-                let cfg = self.hibernator_config(goal_s);
-                run_policy(config, Hibernator::new(cfg).without_guard(), trace, opts)
-            }
-            PolicyKind::HibernatorLfu => {
-                let cfg = self.hibernator_config(goal_s);
-                run_policy(
-                    config,
-                    Hibernator::with_policy(cfg, Box::new(LfuPolicy::new())),
-                    trace,
-                    opts,
-                )
-            }
-            PolicyKind::HibernatorBandit => {
-                let cfg = self.hibernator_config(goal_s);
-                run_policy(
-                    config,
-                    Hibernator::with_policy(cfg, Box::new(BanditPolicy::new())),
-                    trace,
-                    opts,
-                )
-            }
-            PolicyKind::SleepScale => {
-                let cfg = self.hibernator_config(goal_s);
-                run_policy(
-                    config,
-                    Hibernator::with_policy(cfg, Box::new(SleepScalePolicy::new())),
-                    trace,
-                    opts,
-                )
-            }
-            PolicyKind::FixedSlow => {
-                run_policy(config, FixedSpeed::new(SpeedLevel(0)), trace, opts)
-            }
-        }
-    }
-
-    /// Streaming twin of [`Ctx::run_kind`]: the same policy dispatch fed
-    /// from a [`TraceSource`] instead of a materialised trace. The two
-    /// paths are bit-identical for equal request sequences (locked down
-    /// by `tests/stream_equivalence.rs`); this one never allocates the
-    /// trace, so the scenario sweep's superposed/rewritten streams run at
-    /// O(1) trace memory.
-    pub fn run_kind_streamed(
         &self,
         p: PolicyKind,
         config: ArrayConfig,

@@ -14,6 +14,7 @@ use array::{Redundancy, RunReport, Simulation};
 use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 use hibernator::Hibernator;
 use simkit::SimTime;
+use workload::TraceCursor;
 
 /// The scripted storm for a run of `horizon_s` seconds: disk 3 dies at 30%
 /// of the horizon (after a transient burst and a sticky-spindle window),
@@ -91,7 +92,13 @@ pub fn faults(ctx: &Ctx) {
     let base = ctx.timed("faults Base/OLTP+storm", || {
         let mut o = opts.clone();
         o.telemetry = ctx.telemetry_config("faults/Base", f64::MAX, 600.0);
-        let mut r = ctx.run_kind(PolicyKind::Base, config.clone(), &trace, o, f64::MAX);
+        let mut r = ctx.run_kind(
+            PolicyKind::Base,
+            config.clone(),
+            TraceCursor::new(&trace),
+            o,
+            f64::MAX,
+        );
         ctx.collect_stream(r.telemetry.take());
         r
     });
@@ -152,7 +159,13 @@ pub fn faults(ctx: &Ctx) {
                                 (r, boosts)
                             }
                             _ => {
-                                let mut r = ctx.run_kind(p, config.clone(), trace, o, goal);
+                                let mut r = ctx.run_kind(
+                                    p,
+                                    config.clone(),
+                                    TraceCursor::new(trace),
+                                    o,
+                                    goal,
+                                );
                                 ctx.collect_stream(r.telemetry.take());
                                 (r, 0)
                             }

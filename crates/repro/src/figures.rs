@@ -13,6 +13,7 @@ use crate::common::{violation_fraction, Ctx, PolicyKind, Workload};
 use array::{RunOptions, RunReport};
 use hibernator::{Hibernator, HibernatorConfig};
 use simkit::SimDuration;
+use workload::TraceCursor;
 
 /// F1 — array power over time per policy (OLTP).
 pub fn f1(ctx: &Ctx) {
@@ -76,7 +77,7 @@ pub fn f3(ctx: &Ctx) {
                         ctx.run_kind(
                             PolicyKind::Hibernator,
                             ctx.array_config(Workload::Oltp),
-                            trace,
+                            TraceCursor::new(trace),
                             ctx.run_options(),
                             goal,
                         )
@@ -176,7 +177,13 @@ pub fn f5(ctx: &Ctx) {
                 move || {
                     let config = ctx.array_config_with(Workload::Oltp, ctx.disks(), levels);
                     ctx.timed(&format!("f5 Base {levels}-level/OLTP"), || {
-                        ctx.run_kind(PolicyKind::Base, config, trace, ctx.run_options(), 0.1)
+                        ctx.run_kind(
+                            PolicyKind::Base,
+                            config,
+                            TraceCursor::new(trace),
+                            ctx.run_options(),
+                            0.1,
+                        )
                     })
                 }
             })
@@ -199,7 +206,7 @@ pub fn f5(ctx: &Ctx) {
                         ctx.run_kind(
                             PolicyKind::Hibernator,
                             config,
-                            trace,
+                            TraceCursor::new(trace),
                             ctx.run_options(),
                             goal,
                         )
@@ -237,7 +244,13 @@ pub fn f6(ctx: &Ctx) {
                     let trace = ctx.trace_with_load(Workload::Oltp, load);
                     let config = ctx.array_config(Workload::Oltp);
                     ctx.timed(&format!("f6 Base load {load:.2}x/OLTP"), || {
-                        ctx.run_kind(PolicyKind::Base, config, &trace, ctx.run_options(), 0.1)
+                        ctx.run_kind(
+                            PolicyKind::Base,
+                            config,
+                            TraceCursor::new(&trace),
+                            ctx.run_options(),
+                            0.1,
+                        )
                     })
                 }
             })
@@ -260,7 +273,7 @@ pub fn f6(ctx: &Ctx) {
                         ctx.run_kind(
                             PolicyKind::Hibernator,
                             config,
-                            &trace,
+                            TraceCursor::new(&trace),
                             ctx.run_options(),
                             goal,
                         )
@@ -368,7 +381,13 @@ pub fn f9(ctx: &Ctx) {
                     let trace = ctx.trace_with_load(Workload::Oltp, load);
                     let config = ctx.array_config_with(Workload::Oltp, disks, 6);
                     ctx.timed(&format!("f9 Base {disks}-disk/OLTP"), || {
-                        ctx.run_kind(PolicyKind::Base, config, &trace, ctx.run_options(), 0.1)
+                        ctx.run_kind(
+                            PolicyKind::Base,
+                            config,
+                            TraceCursor::new(&trace),
+                            ctx.run_options(),
+                            0.1,
+                        )
                     })
                 }
             })
@@ -392,7 +411,7 @@ pub fn f9(ctx: &Ctx) {
                         ctx.run_kind(
                             PolicyKind::Hibernator,
                             config,
-                            &trace,
+                            TraceCursor::new(&trace),
                             ctx.run_options(),
                             goal,
                         )

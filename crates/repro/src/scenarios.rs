@@ -62,7 +62,7 @@ pub fn scenarios(ctx: &Ctx) {
                     ctx.timed(&name, || {
                         let mut opts = ctx.run_options();
                         opts.telemetry = ctx.telemetry_config(&name, f64::MAX, ctx.warmup_s());
-                        let mut r = ctx.run_kind_streamed(
+                        let mut r = ctx.run_kind(
                             PolicyKind::Base,
                             config.clone(),
                             source_for(spec, sc, ctx.seed),
@@ -96,7 +96,7 @@ pub fn scenarios(ctx: &Ctx) {
                     ctx.timed(&name, || {
                         let mut opts = ctx.run_options();
                         opts.telemetry = ctx.telemetry_config(&name, goals[i], ctx.warmup_s());
-                        let mut r = ctx.run_kind_streamed(
+                        let mut r = ctx.run_kind(
                             p,
                             config.clone(),
                             source_for(spec, sc, ctx.seed),

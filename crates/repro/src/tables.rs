@@ -3,7 +3,7 @@
 use crate::common::{row, violation_fraction, Ctx, PolicyKind, Workload};
 use diskmodel::{DiskSpec, PowerModel, ServiceModel, SpeedLevel};
 use simkit::EnergyComponent;
-use workload::TraceStats;
+use workload::{TraceCursor, TraceStats};
 
 /// T1 — the multi-speed disk model parameter table.
 pub fn t1(ctx: &Ctx) {
@@ -257,7 +257,13 @@ pub fn t6(ctx: &Ctx) {
                     let mut config = ctx.array_config(Workload::Oltp);
                     config.redundancy = redundancy;
                     ctx.timed(&format!("t6 Base {label}/OLTP"), || {
-                        ctx.run_kind(PolicyKind::Base, config, trace, ctx.run_options(), 0.1)
+                        ctx.run_kind(
+                            PolicyKind::Base,
+                            config,
+                            TraceCursor::new(trace),
+                            ctx.run_options(),
+                            0.1,
+                        )
                     })
                 }
             })
@@ -281,7 +287,7 @@ pub fn t6(ctx: &Ctx) {
                         ctx.run_kind(
                             PolicyKind::Hibernator,
                             config,
-                            trace,
+                            TraceCursor::new(trace),
                             ctx.run_options(),
                             goal,
                         )

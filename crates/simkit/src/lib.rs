@@ -14,8 +14,7 @@
 //! * **Randomness** — [`DetRng`], labelled deterministic random streams
 //!   derived from one experiment seed.
 //! * **Statistics** — [`Moments`], [`LatencyHistogram`], [`FixedHistogram`],
-//!   [`SlidingWindow`], [`TimeWeighted`], [`Ewma`], [`DecayingRate`],
-//!   [`TimeSeries`].
+//!   [`SlidingWindow`], [`TimeWeighted`], [`Ewma`], [`TimeSeries`].
 //! * **Energy** — [`EnergyLedger`] with per-[`EnergyComponent`] attribution.
 //!
 //! Nothing in this crate knows about disks or power policies; it is a
@@ -38,7 +37,5 @@ pub use events::EventQueue;
 pub use rng::DetRng;
 pub use series::{SeriesBucket, TimeSeries};
 pub use slab::Slab;
-pub use stats::{
-    DecayingRate, Ewma, FixedHistogram, LatencyHistogram, Moments, SlidingWindow, TimeWeighted,
-};
+pub use stats::{Ewma, FixedHistogram, LatencyHistogram, Moments, SlidingWindow, TimeWeighted};
 pub use time::{SimDuration, SimTime};

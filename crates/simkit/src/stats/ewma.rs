@@ -4,8 +4,6 @@
 //! old history forgotten". [`Ewma`] implements a continuous-time EWMA: the
 //! weight of past information decays as `exp(-Δt / τ)` where `τ` is the
 //! half-life-like time constant, so sampling intervals need not be uniform.
-//! [`DecayingRate`] builds on it to estimate an *event rate* (events/sec)
-//! from a stream of event timestamps.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -72,88 +70,6 @@ impl Ewma {
     }
 }
 
-/// Exponentially decaying event-rate estimator.
-///
-/// Each call to [`DecayingRate::hit`] registers one event; [`DecayingRate::rate`]
-/// returns an estimate of events/second in which an event's contribution
-/// decays as `exp(-age / tau)`. The estimate is the decayed hit mass divided
-/// by `tau` (the mean age of surviving mass), which converges to the true
-/// rate for a Poisson stream.
-///
-/// # Examples
-/// ```
-/// use simkit::{DecayingRate, SimDuration, SimTime};
-///
-/// let mut r = DecayingRate::new(SimDuration::from_secs(100.0));
-/// for i in 0..1000 {
-///     r.hit(SimTime::from_secs(i as f64 * 0.5), 1.0); // 2 events/sec
-/// }
-/// let est = r.rate(SimTime::from_secs(500.0));
-/// assert!((est - 2.0).abs() < 0.2, "estimate {est}");
-/// ```
-#[derive(Debug, Clone)]
-pub struct DecayingRate {
-    tau: SimDuration,
-    mass: f64,
-    last: SimTime,
-}
-
-impl DecayingRate {
-    /// Creates a rate estimator with decay time constant `tau`.
-    ///
-    /// # Panics
-    /// Panics if `tau` is zero.
-    pub fn new(tau: SimDuration) -> Self {
-        assert!(!tau.is_zero(), "DecayingRate: tau must be positive");
-        DecayingRate {
-            tau,
-            mass: 0.0,
-            last: SimTime::ZERO,
-        }
-    }
-
-    fn decay_to(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last);
-        if !dt.is_zero() {
-            self.mass *= (-(dt / self.tau)).exp();
-            self.last = now;
-        } else if now > self.last {
-            self.last = now;
-        }
-    }
-
-    /// Registers `weight` events at time `now` (weight 1.0 = one event;
-    /// weights let callers count bytes or sectors instead of requests).
-    ///
-    /// # Panics
-    /// Panics if `weight` is negative or non-finite.
-    pub fn hit(&mut self, now: SimTime, weight: f64) {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "DecayingRate: bad weight {weight}"
-        );
-        self.decay_to(now);
-        self.mass += weight;
-        self.last = now;
-    }
-
-    /// The decayed event mass as of `now` (useful as a relative "temperature").
-    pub fn mass(&mut self, now: SimTime) -> f64 {
-        self.decay_to(now);
-        self.mass
-    }
-
-    /// Estimated event rate (events/sec) as of `now`.
-    pub fn rate(&mut self, now: SimTime) -> f64 {
-        self.mass(now) / self.tau.as_secs()
-    }
-
-    /// Resets the estimator to empty.
-    pub fn reset(&mut self) {
-        self.mass = 0.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,42 +110,5 @@ mod tests {
         e.observe(t(5.0), 10.0);
         e.observe(t(5.0), 0.0); // alpha = 0 at dt = 0
         assert_eq!(e.value(), Some(10.0));
-    }
-
-    #[test]
-    fn rate_tracks_poisson_like_stream() {
-        let mut r = DecayingRate::new(SimDuration::from_secs(50.0));
-        for i in 0..5000 {
-            r.hit(t(i as f64 * 0.1), 1.0); // 10 events/sec
-        }
-        let est = r.rate(t(500.0));
-        assert!((est - 10.0).abs() < 1.0, "estimate {est}");
-    }
-
-    #[test]
-    fn rate_decays_when_idle() {
-        let mut r = DecayingRate::new(SimDuration::from_secs(10.0));
-        for i in 0..100 {
-            r.hit(t(i as f64), 1.0);
-        }
-        let busy = r.rate(t(100.0));
-        let idle = r.rate(t(200.0)); // 10 time constants later
-        assert!(idle < busy * 1e-3, "busy {busy} idle {idle}");
-    }
-
-    #[test]
-    fn mass_accumulates_weights() {
-        let mut r = DecayingRate::new(SimDuration::from_secs(1e9)); // negligible decay
-        r.hit(t(0.0), 2.5);
-        r.hit(t(1.0), 1.5);
-        assert!((r.mass(t(1.0)) - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_clears_mass() {
-        let mut r = DecayingRate::new(SimDuration::from_secs(10.0));
-        r.hit(t(0.0), 5.0);
-        r.reset();
-        assert_eq!(r.mass(t(0.0)), 0.0);
     }
 }

@@ -7,7 +7,7 @@
 //! * [`SlidingWindow`] — trailing-time-window mean (the performance guard).
 //! * [`TimeWeighted`] — integrals of piecewise-constant signals (energy,
 //!   queue depth).
-//! * [`Ewma`] / [`DecayingRate`] — exponential forgetting (temperatures).
+//! * [`Ewma`] — exponential forgetting (temperatures).
 
 mod ewma;
 mod fixed;
@@ -16,7 +16,7 @@ mod moments;
 mod timeweighted;
 mod window;
 
-pub use ewma::{DecayingRate, Ewma};
+pub use ewma::Ewma;
 pub use fixed::FixedHistogram;
 pub use histogram::LatencyHistogram;
 pub use moments::Moments;
