@@ -178,3 +178,103 @@ fn idle_always_goes_all_slow() {
         assert_eq!(a.per_level[0], disks, "disks {disks}");
     }
 }
+
+/// 64-bit FNV-1a, folded over the outputs of one allocator call.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn hash_allocation(h: u64, a: &hibernator::Allocation) -> u64 {
+    let mut h = h;
+    for &n in &a.per_level {
+        h = fnv1a(h, &(n as u64).to_le_bytes());
+    }
+    h = fnv1a(h, &a.predicted_response_s.to_bits().to_le_bytes());
+    h = fnv1a(h, &a.predicted_power_w.to_bits().to_le_bytes());
+    fnv1a(h, &[a.feasible as u8])
+}
+
+/// Hottest-first rates in the fleet's shape: a short nonzero head with
+/// runs of tied values, then a long tail of exact zeros.
+fn fleet_shaped_rates(rng: &mut DetRng, disks: usize) -> Vec<f64> {
+    let chunks = 16 + rng.below(497) as usize;
+    let head = match rng.below(4) {
+        0 => 0,
+        1 => chunks,
+        _ => rng.below(chunks.min(64) as u64 + 1) as usize,
+    };
+    let total = disks as f64 * rng.uniform(0.01, 120.0);
+    let skew = rng.uniform(0.0, 2.0);
+    let mut r = rates(head.max(1), total, skew);
+    r.truncate(head);
+    // Ties: copy a value over the next few ranks (order stays descending).
+    let mut i = 0;
+    while i < r.len() {
+        if rng.chance(0.3) {
+            let run = 1 + rng.below(4) as usize;
+            for j in i + 1..(i + 1 + run).min(r.len()) {
+                r[j] = r[i];
+            }
+            i += run;
+        }
+        i += 1;
+    }
+    r.resize(chunks, 0.0);
+    r
+}
+
+/// Pins `allocate` and `allocate_capped` bit for bit: every field of every
+/// returned allocation over a seeded sweep of 1–16 disks, fleet-shaped
+/// rate vectors, several goals, and generous, tight, unmeetable and zero
+/// power caps. A rewrite of the DP that changes any predicted bit, any
+/// per-level count or any feasibility flag changes the hash.
+#[test]
+fn allocator_outputs_are_pinned() {
+    let (alloc, mut measured) = setup();
+    // A second estimator whose moments come from samples, not the seed.
+    let mut rng = DetRng::new(0xA110C, "alloc-pin");
+    for level in 0..6 {
+        for _ in 0..64 {
+            let s = rng.uniform(0.004, 0.012) * (1.0 + (5 - level) as f64 * 0.15);
+            measured.record(diskmodel::SpeedLevel(level), s);
+        }
+    }
+    let (_, analytic) = setup();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut calls = 0u32;
+    for disks in 1usize..=16 {
+        for shape in 0..3 {
+            let r = fleet_shaped_rates(&mut rng, disks);
+            let est = if shape == 2 { &measured } else { &analytic };
+            for goal_ms in [3.0, 9.0, 25.0, rng.uniform(4.0, 80.0)] {
+                let input = AllocationInput {
+                    chunk_rates: &r,
+                    disks,
+                    goal_s: goal_ms / 1e3,
+                };
+                let free = alloc.allocate(&input, est);
+                h = hash_allocation(h, &free);
+                let mut slow = vec![0; 6];
+                slow[0] = disks;
+                let floor = alloc
+                    .evaluate_unconstrained(&input, est, &slow)
+                    .map_or(disks as f64, |(_, p)| p);
+                for cap in [
+                    1e6,
+                    floor + rng.uniform(0.0, 1.0) * (free.predicted_power_w - floor).abs(),
+                    floor * 0.5,
+                    0.0,
+                ] {
+                    h = hash_allocation(h, &alloc.allocate_capped(&input, est, cap));
+                }
+                calls += 5;
+            }
+        }
+    }
+    assert_eq!(calls, 16 * 3 * 4 * 5);
+    assert_eq!(h, 0x0dc69cd1f96ebe1c, "allocator outputs moved: {h:#018x}");
+}
