@@ -166,7 +166,6 @@ impl SpeedAllocator {
 
     /// Finds the minimum-power assignment meeting the goal. Falls back to
     /// all-fast (flagged `feasible: false`) if nothing meets it.
-    #[allow(clippy::needless_range_loop)] // dp tables are indexed by design
     pub fn allocate(&self, input: &AllocationInput<'_>, est: &ServiceEstimator) -> Allocation {
         assert!(input.disks > 0, "no disks");
         assert!(input.goal_s > 0.0, "goal must be positive");
@@ -176,45 +175,28 @@ impl SpeedAllocator {
         let total_rate = *cum.last().expect("non-empty");
         let budget = input.goal_s * total_rate.max(1e-12);
         let b = self.buckets;
+        let cols = b + 1;
 
-        // dp[disks_used][bucket] = min power, processed fastest level first.
-        const INF: f64 = f64::INFINITY;
-        let mut dp = vec![vec![INF; b + 1]; n + 1];
-        let mut choice: Vec<Vec<Vec<(usize, usize, usize)>>> = Vec::new(); // per level: (from_used, from_bucket, n)
-        dp[0][0] = 0.0;
+        // dp[used * cols + bucket] = min power, processed fastest level
+        // first; `ndp` is the next level's table, swapped in after it.
+        let mut dp = vec![INF; (n + 1) * cols];
+        let mut ndp = dp.clone();
+        let mut choice = ChoiceTable::new(levels, n, cols);
+        let mut costs = Vec::new();
+        dp[0] = 0.0;
 
-        for level in (0..levels).rev() {
-            let mut ndp = vec![vec![INF; b + 1]; n + 1];
-            let mut nchoice = vec![vec![(usize::MAX, 0, 0); b + 1]; n + 1];
-            let (es, _es2) = est.moments(SpeedLevel(level));
+        for (step, level) in (0..levels).rev().enumerate() {
+            self.tier_costs(level, &cum, est, &mut costs);
+            ndp.fill(INF);
             for used in 0..=n {
                 for bk in 0..=b {
-                    let cur = dp[used][bk];
+                    let cur = dp[used * cols + bk];
                     if !cur.is_finite() {
                         continue;
                     }
-                    let max_take = n - used;
-                    for take in 0..=max_take {
-                        // Levels below this one must be able to absorb the
-                        // rest; always possible (they can also take 0 only at
-                        // the end). Enforce full assignment at the last level.
-                        if level == 0 && take != max_take {
+                    for take in takes(level, n - used) {
+                        let Some((add_w, add_p)) = costs[used * (n + 1) + take] else {
                             continue;
-                        }
-                        let (add_w, add_p) = if take == 0 {
-                            (0.0, 0.0)
-                        } else {
-                            let lam_tier = cum[used + take] - cum[used];
-                            let lam_disk = lam_tier / take as f64;
-                            let r = est.response(SpeedLevel(level), lam_disk);
-                            if !r.is_finite() {
-                                continue;
-                            }
-                            let rho = (lam_disk * es).min(1.0);
-                            (
-                                lam_tier * r,
-                                take as f64 * (self.idle_w[level] + rho * self.active_extra_w),
-                            )
                         };
                         // Conservative: round the consumed budget up.
                         let spent = bk as f64 / b as f64 * budget + add_w;
@@ -223,26 +205,26 @@ impl SpeedAllocator {
                         }
                         let nbk = ((spent / budget * b as f64).ceil() as usize).min(b);
                         let np = cur + add_p;
-                        if np < ndp[used + take][nbk] {
-                            ndp[used + take][nbk] = np;
-                            nchoice[used + take][nbk] = (used, bk, take);
+                        let slot = (used + take) * cols + nbk;
+                        if np < ndp[slot] {
+                            ndp[slot] = np;
+                            choice.set(step, slot, bk, take);
                         }
                     }
                 }
             }
-            dp = ndp;
-            choice.push(nchoice);
+            std::mem::swap(&mut dp, &mut ndp);
         }
 
         // Best terminal state.
         let mut best: Option<(usize, f64)> = None; // (bucket, power)
         for bk in 0..=b {
-            let p = dp[n][bk];
+            let p = dp[n * cols + bk];
             if p.is_finite() && best.is_none_or(|(_, bp)| p < bp) {
                 best = Some((bk, p));
             }
         }
-        let Some((mut bk, power)) = best else {
+        let Some((bk, power)) = best else {
             // No feasible assignment: fall back to all-fast, but carry its
             // *real* predicted response/power so the calibration loop keeps
             // comparing model to measurement.
@@ -254,20 +236,7 @@ impl SpeedAllocator {
             return fallback;
         };
 
-        // Reconstruct.
-        let mut per_level = vec![0usize; levels];
-        let mut used = n;
-        for (i, level) in (0..levels).rev().enumerate().rev() {
-            // `choice` was pushed fastest-level-first; index i corresponds to
-            // the i-th processed level. Walk backwards.
-            let (pu, pb, take) = choice[i][used][bk];
-            debug_assert_ne!(pu, usize::MAX, "broken DP chain");
-            per_level[level] = take;
-            used = pu;
-            bk = pb;
-        }
-        debug_assert_eq!(used, 0);
-
+        let per_level = choice.reconstruct(bk);
         let (resp, pw) = self
             .evaluate(input, est, &per_level)
             .expect("DP result must evaluate feasible");
@@ -288,7 +257,6 @@ impl SpeedAllocator {
     /// also meets the response goal. When even the all-slowest layout
     /// exceeds the cap, that layout is returned flagged infeasible — the
     /// cap is soft, and the overdraw is the fleet accounting's problem.
-    #[allow(clippy::needless_range_loop)] // dp tables are indexed by design
     pub fn allocate_capped(
         &self,
         input: &AllocationInput<'_>,
@@ -300,52 +268,38 @@ impl SpeedAllocator {
         let n = input.disks;
         let cum = cumulative_rates(input.chunk_rates, n);
         let b = self.buckets;
+        let cols = b + 1;
         let cap = cap_w.max(0.0);
         if cap <= 0.0 {
             return self.min_power_layout(input, est);
         }
 
-        const INF: f64 = f64::INFINITY;
         // dp over (disks used, power bucket): minimise the weighted
         // response sum, tie-broken toward lower exact power. Same
         // fastest-level-first tier filling as `allocate`.
-        let mut dpw = vec![vec![INF; b + 1]; n + 1];
-        let mut dpp = vec![vec![INF; b + 1]; n + 1];
-        let mut choice: Vec<Vec<Vec<(usize, usize, usize)>>> = Vec::new();
-        dpw[0][0] = 0.0;
-        dpp[0][0] = 0.0;
+        let mut dpw = vec![INF; (n + 1) * cols];
+        let mut dpp = dpw.clone();
+        let mut nw = dpw.clone();
+        let mut np = dpw.clone();
+        let mut choice = ChoiceTable::new(levels, n, cols);
+        let mut costs = Vec::new();
+        dpw[0] = 0.0;
+        dpp[0] = 0.0;
 
-        for level in (0..levels).rev() {
-            let mut nw = vec![vec![INF; b + 1]; n + 1];
-            let mut np = vec![vec![INF; b + 1]; n + 1];
-            let mut nchoice = vec![vec![(usize::MAX, 0, 0); b + 1]; n + 1];
-            let (es, _es2) = est.moments(SpeedLevel(level));
+        for (step, level) in (0..levels).rev().enumerate() {
+            self.tier_costs(level, &cum, est, &mut costs);
+            nw.fill(INF);
+            np.fill(INF);
             for used in 0..=n {
                 for bk in 0..=b {
-                    let cur_w = dpw[used][bk];
+                    let cur_w = dpw[used * cols + bk];
                     if !cur_w.is_finite() {
                         continue;
                     }
-                    let cur_p = dpp[used][bk];
-                    let max_take = n - used;
-                    for take in 0..=max_take {
-                        if level == 0 && take != max_take {
+                    let cur_p = dpp[used * cols + bk];
+                    for take in takes(level, n - used) {
+                        let Some((add_w, add_p)) = costs[used * (n + 1) + take] else {
                             continue;
-                        }
-                        let (add_w, add_p) = if take == 0 {
-                            (0.0, 0.0)
-                        } else {
-                            let lam_tier = cum[used + take] - cum[used];
-                            let lam_disk = lam_tier / take as f64;
-                            let r = est.response(SpeedLevel(level), lam_disk);
-                            if !r.is_finite() {
-                                continue;
-                            }
-                            let rho = (lam_disk * es).min(1.0);
-                            (
-                                lam_tier * r,
-                                take as f64 * (self.idle_w[level] + rho * self.active_extra_w),
-                            )
                         };
                         // Conservative: round the consumed power budget up,
                         // so a reconstructed plan always fits the cap.
@@ -356,48 +310,36 @@ impl SpeedAllocator {
                         let nbk = ((spent / cap * b as f64).ceil() as usize).min(b);
                         let w = cur_w + add_w;
                         let p = cur_p + add_p;
-                        let slot_w = nw[used + take][nbk];
-                        if w < slot_w || (w == slot_w && p < np[used + take][nbk]) {
-                            nw[used + take][nbk] = w;
-                            np[used + take][nbk] = p;
-                            nchoice[used + take][nbk] = (used, bk, take);
+                        let slot = (used + take) * cols + nbk;
+                        if w < nw[slot] || (w == nw[slot] && p < np[slot]) {
+                            nw[slot] = w;
+                            np[slot] = p;
+                            choice.set(step, slot, bk, take);
                         }
                     }
                 }
             }
-            dpw = nw;
-            dpp = np;
-            choice.push(nchoice);
+            std::mem::swap(&mut dpw, &mut nw);
+            std::mem::swap(&mut dpp, &mut np);
         }
 
         let mut best: Option<(usize, f64, f64)> = None; // (bucket, weighted, power)
         for bk in 0..=b {
-            let w = dpw[n][bk];
+            let w = dpw[n * cols + bk];
             if !w.is_finite() {
                 continue;
             }
-            let p = dpp[n][bk];
+            let p = dpp[n * cols + bk];
             if best.is_none_or(|(_, bw, bp)| w < bw || (w == bw && p < bp)) {
                 best = Some((bk, w, p));
             }
         }
-        let Some((mut bk, _, _)) = best else {
+        let Some((bk, _, _)) = best else {
             return self.min_power_layout(input, est);
         };
 
-        let mut per_level = vec![0usize; levels];
-        let mut used = n;
-        for (i, level) in (0..levels).rev().enumerate().rev() {
-            let (pu, pb, take) = choice[i][used][bk];
-            debug_assert_ne!(pu, usize::MAX, "broken DP chain");
-            per_level[level] = take;
-            used = pu;
-            bk = pb;
-        }
-        debug_assert_eq!(used, 0);
-
         let mut out = Allocation {
-            per_level,
+            per_level: choice.reconstruct(bk),
             predicted_response_s: 0.0,
             predicted_power_w: 0.0,
             feasible: false,
@@ -408,6 +350,43 @@ impl SpeedAllocator {
             out.feasible = resp <= input.goal_s;
         }
         out
+    }
+
+    /// The `(weighted response, power)` that a tier of `take` disks at
+    /// `level` adds when it takes the chunk range after the hottest `used`
+    /// disks' worth, into `out[used * (disks + 1) + take]`; `None` where
+    /// that tier saturates. Both DPs read it for every budget bucket, so
+    /// it is computed once per level. At level 0 only `take = disks - used`
+    /// is filled (see [`takes`]).
+    fn tier_costs(
+        &self,
+        level: usize,
+        cum: &[f64],
+        est: &ServiceEstimator,
+        out: &mut Vec<Option<(f64, f64)>>,
+    ) {
+        let n = cum.len() - 1;
+        out.clear();
+        out.resize((n + 1) * (n + 1), None);
+        let (es, _es2) = est.moments(SpeedLevel(level));
+        for used in 0..=n {
+            for take in takes(level, n - used) {
+                out[used * (n + 1) + take] = if take == 0 {
+                    Some((0.0, 0.0))
+                } else {
+                    let lam_tier = cum[used + take] - cum[used];
+                    let lam_disk = lam_tier / take as f64;
+                    let r = est.response(SpeedLevel(level), lam_disk);
+                    let rho = (lam_disk * es).min(1.0);
+                    r.is_finite().then(|| {
+                        (
+                            lam_tier * r,
+                            take as f64 * (self.idle_w[level] + rho * self.active_extra_w),
+                        )
+                    })
+                };
+            }
+        }
     }
 
     /// The all-slowest layout with its real (unconstrained) predictions —
@@ -427,6 +406,63 @@ impl SpeedAllocator {
             out.predicted_power_w = pw;
         }
         out
+    }
+}
+
+const INF: f64 = f64::INFINITY;
+
+/// The tier sizes a DP step may give `level` when `left` disks remain:
+/// any count above level 0, and every remaining disk at level 0, so each
+/// plan assigns all disks.
+fn takes(level: usize, left: usize) -> std::ops::RangeInclusive<usize> {
+    if level == 0 {
+        left..=left
+    } else {
+        0..=left
+    }
+}
+
+/// Back-pointers of a DP over (level, disks used, bucket), one flat table
+/// for all levels: each reached state records the bucket it came from and
+/// the disks its level took (the disks used before are `used - take`).
+struct ChoiceTable {
+    levels: usize,
+    disks: usize,
+    cols: usize,
+    from: Vec<(u32, u32)>,
+}
+
+impl ChoiceTable {
+    fn new(levels: usize, disks: usize, cols: usize) -> ChoiceTable {
+        ChoiceTable {
+            levels,
+            disks,
+            cols,
+            from: vec![(u32::MAX, 0); levels * (disks + 1) * cols],
+        }
+    }
+
+    /// Records that the state at `slot` (`used * cols + bucket`) of DP
+    /// step `step` came from bucket `bk` with `take` disks at this level.
+    fn set(&mut self, step: usize, slot: usize, bk: usize, take: usize) {
+        self.from[step * (self.disks + 1) * self.cols + slot] = (bk as u32, take as u32);
+    }
+
+    /// Walks the back-pointers from the all-disks state in bucket `bk` of
+    /// the last step to the disks per level (index = level). Steps run
+    /// fastest level first.
+    fn reconstruct(&self, mut bk: usize) -> Vec<usize> {
+        let mut per_level = vec![0usize; self.levels];
+        let mut used = self.disks;
+        for (step, level) in (0..self.levels).rev().enumerate().rev() {
+            let (pb, take) = self.from[step * (self.disks + 1) * self.cols + used * self.cols + bk];
+            debug_assert_ne!(pb, u32::MAX, "broken DP chain");
+            per_level[level] = take as usize;
+            used -= take as usize;
+            bk = pb as usize;
+        }
+        debug_assert_eq!(used, 0);
+        per_level
     }
 }
 

@@ -317,7 +317,9 @@ pub fn plan_migrations_filtered(
         if members.is_empty() {
             continue;
         }
-        let in_tier = |d: array::DiskId| disks.contains(&d);
+        let in_tier = |d: array::DiskId| {
+            disk_levels[d.index()] == SpeedLevel(level) && !state.disks[d.index()].has_failed()
+        };
         let mut movers: Vec<(ChunkId, Option<f64>)> = Vec::new();
         for (k, &c) in members.iter().enumerate() {
             let cur = state.remap.disk_of(c);

@@ -120,7 +120,7 @@ impl PowerPolicy for PdcPolicy {
     ) {
         if let Some(heat) = &mut self.heat {
             for &c in chunks {
-                heat.touch(now, c, 1.0);
+                heat.touch(now, c);
             }
         }
     }
