@@ -236,7 +236,7 @@ fn worker_partition_does_not_change_results() {
         .collect();
     let a = &reports[0];
     for (r, jobs) in reports.iter().zip([1, 3, 8]) {
-        // Epoch completion counts are drained from the shard map and
+        // Epoch completion counts ride the workers' segment replies and
         // must tile the fleet total exactly — no segment double-counted
         // or dropped.
         let per_epoch: u64 = r.epochs.iter().map(|e| e.completed).sum();
