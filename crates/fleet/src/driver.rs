@@ -237,17 +237,16 @@ where
         num_epochs,
     );
     let placement = plan_placement(&heat, spec.arrays, spec.rebalance, spec.max_moves_per_epoch);
-    // One routing pass for conservation accounting and allocation hints;
-    // the arrays then *stream* their shards from the shared trace in
-    // place (see [`tenants::ShardStream`]) — nothing is cloned per array.
-    let counts = tenants::shard_counts(
+    // Route the shared trace once; each array then streams only its own
+    // requests from it in place — nothing is cloned per array.
+    let index = tenants::ShardIndex::build(
         trace,
         &placement.rows,
         spec.tenant_sectors,
         epoch_s,
         spec.arrays,
     );
-    let routed_requests: u64 = counts.iter().sum();
+    let routed_requests = index.len() as u64;
 
     // One simulation per array. Array 0 keeps the spec's seed and label
     // verbatim, so a fleet of one is the exact single-array run.
@@ -264,15 +263,7 @@ where
                     t.label = format!("{}/a{i}", t.label);
                 }
             }
-            let shard = tenants::ShardStream::new(
-                trace,
-                &placement.rows,
-                i as u32,
-                spec.tenant_sectors,
-                epoch_s,
-            )
-            .with_len_hint(counts[i] as usize);
-            Simulation::from_source(config, make_policy(i), shard, opts)
+            Simulation::from_source(config, make_policy(i), index.stream(trace, i), opts)
         })
         .collect();
 
@@ -502,13 +493,17 @@ where
     let fleet_energy_j: f64 = reports.iter().map(|r| r.energy.total_joules()).sum();
     let completed: u64 = reports.iter().map(|r| r.completed).sum();
     let incomplete: u64 = reports.iter().map(|r| r.incomplete).sum();
+    // Arrays book a request in the volume's folded tail under a tenant id
+    // past the universe; fold it into the last tenant, as routing does.
+    let last_tenant = spec.tenants as usize - 1;
     let mut tenant_latency: Vec<LatencyHistogram> = Vec::new();
     for r in &reports {
-        if tenant_latency.len() < r.tenant_latency.len() {
-            tenant_latency.resize_with(r.tenant_latency.len(), LatencyHistogram::new_latency);
+        let slots = r.tenant_latency.len().min(last_tenant + 1);
+        if tenant_latency.len() < slots {
+            tenant_latency.resize_with(slots, LatencyHistogram::new_latency);
         }
-        for (acc, h) in tenant_latency.iter_mut().zip(&r.tenant_latency) {
-            acc.merge(h);
+        for (t, h) in r.tenant_latency.iter().enumerate() {
+            tenant_latency[t.min(last_tenant)].merge(h);
         }
     }
 

@@ -16,7 +16,9 @@
 //! * [`Counted`] — a transparent wrapper exposing how many requests
 //!   flowed through, for bounded-memory assertions;
 //! * the scenario combinators in [`crate::scenario`] and the per-array
-//!   [`crate::tenants::ShardStream`].
+//!   [`crate::tenants::ShardStream`], which reads only its own array's
+//!   requests from a shared trace routed once by a
+//!   [`crate::tenants::ShardIndex`].
 //!
 //! # The two-pass RNG trick
 //!

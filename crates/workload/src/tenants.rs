@@ -3,9 +3,9 @@
 //! The fleet layer views the shared logical volume as consecutive
 //! fixed-size *tenant shards*: sector `s` belongs to tenant
 //! `s / tenant_sectors`. A placement map (one `tenant → array` row per
-//! fleet epoch) then splits a shared multi-tenant [`Trace`] into
-//! per-array traces, and a per-epoch heat matrix gives the placement
-//! planner its demand signal. Both are pure functions of the trace, so
+//! fleet epoch) then routes a shared multi-tenant [`Trace`] to per-array
+//! streams through one [`ShardIndex`], and a per-epoch heat matrix gives
+//! the placement planner its demand signal. Both are pure functions of the trace, so
 //! placement can be planned *ahead* of simulation — the fleet driver
 //! needs no feedback channel from the arrays to route requests, which
 //! keeps routing deterministic and jobs-invariant.
@@ -54,116 +54,40 @@ pub fn tenant_heat(
     heat
 }
 
-/// Splits a shared trace into one per-array trace according to a
-/// placement map: request at time `t` with tenant `u` goes to array
-/// `placement[epoch_of(t)][u]`. One stable forward pass — each per-array
-/// trace preserves the shared trace's arrival order, so a single-array
-/// fleet receives exactly the original trace.
-///
-/// # Panics
-/// Panics if `placement` is empty, a row's length is not the tenant
-/// universe implied by its sibling rows, or a routed array index is out
-/// of range.
-pub fn shard_by_placement(
-    trace: &Trace,
-    placement: &[Vec<u32>],
-    tenant_sectors: u64,
-    epoch_s: f64,
-    arrays: usize,
-) -> Vec<Trace> {
-    assert!(!placement.is_empty(), "placement needs at least one epoch");
-    assert!(arrays > 0, "at least one array");
-    let tenants = placement[0].len() as u32;
-    assert!(tenants > 0, "placement rows must cover at least one tenant");
-    for row in placement {
-        assert_eq!(row.len(), tenants as usize, "ragged placement map");
-    }
-    let last = placement.len() - 1;
-    let mut out: Vec<Vec<VolumeRequest>> = vec![Vec::new(); arrays];
-    for r in &trace.requests {
-        let e = epoch_of(r.time.as_secs(), epoch_s).min(last);
-        let t = tenant_of(r.sector, tenant_sectors, tenants);
-        let a = placement[e][t as usize] as usize;
-        assert!(
-            a < arrays,
-            "placement routes tenant {t} to missing array {a}"
-        );
-        out[a].push(*r);
-    }
-    out.into_iter()
-        .map(|reqs| Trace { requests: reqs })
-        .collect()
+/// The shared trace routed once: every trace index, grouped by the array
+/// the placement map sends it to (request at time `t` with tenant `u`
+/// goes to array `placement[epoch_of(t)][u]`, late requests taking the
+/// last row). A counting sort — a count pass, a prefix sum into
+/// `arrays + 1` offsets, then a fill pass — so each array's indices stay
+/// in trace order, and a single-array fleet receives exactly the
+/// original trace. It costs 4 B per request on top of the shared trace;
+/// each array then streams its own requests in O(1) per request through
+/// [`ShardIndex::stream`], without scanning anyone else's.
+#[derive(Debug)]
+pub struct ShardIndex {
+    /// Array `a`'s indices are `order[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<usize>,
+    order: Vec<u32>,
 }
 
-/// Requests the placement map routes to each array — the allocation
-/// hints (and conservation check) a streaming fleet needs, in one pass
-/// with no per-array materialisation.
-///
-/// # Panics
-/// Panics on the same degenerate placements as [`shard_by_placement`],
-/// including a routed array index out of range.
-pub fn shard_counts(
-    trace: &Trace,
-    placement: &[Vec<u32>],
-    tenant_sectors: u64,
-    epoch_s: f64,
-    arrays: usize,
-) -> Vec<u64> {
-    assert!(!placement.is_empty(), "placement needs at least one epoch");
-    assert!(arrays > 0, "at least one array");
-    let tenants = placement[0].len() as u32;
-    assert!(tenants > 0, "placement rows must cover at least one tenant");
-    for row in placement {
-        assert_eq!(row.len(), tenants as usize, "ragged placement map");
-    }
-    let last = placement.len() - 1;
-    let mut counts = vec![0u64; arrays];
-    for r in &trace.requests {
-        let e = epoch_of(r.time.as_secs(), epoch_s).min(last);
-        let t = tenant_of(r.sector, tenant_sectors, tenants);
-        let a = placement[e][t as usize] as usize;
-        assert!(
-            a < arrays,
-            "placement routes tenant {t} to missing array {a}"
-        );
-        counts[a] += 1;
-    }
-    counts
-}
-
-/// A [`TraceSource`] yielding exactly the requests the placement map
-/// routes to one array — the same subsequence, in the same order, as
-/// [`shard_by_placement`]'s materialised shard for that array, but
-/// walking the shared trace in place. N arrays each hold one of these
-/// over one shared trace: the fleet no longer clones the trace per
-/// array.
-#[derive(Debug, Clone)]
-pub struct ShardStream<'a> {
-    trace: &'a Trace,
-    placement: &'a [Vec<u32>],
-    array: u32,
-    tenant_sectors: u64,
-    epoch_s: f64,
-    tenants: u32,
-    pos: usize,
-    hint: Option<usize>,
-}
-
-impl<'a> ShardStream<'a> {
-    /// A stream of `trace`'s requests routed to `array` under
+impl ShardIndex {
+    /// Routes every request of `trace` to one of `arrays` arrays under
     /// `placement`.
     ///
     /// # Panics
-    /// Panics if the placement map is empty or ragged, or
-    /// `tenant_sectors`/`epoch_s` is degenerate.
-    pub fn new(
-        trace: &'a Trace,
-        placement: &'a [Vec<u32>],
-        array: u32,
+    /// Panics if `placement` is empty, a row's length is not the tenant
+    /// universe implied by its sibling rows, a routed array index is out
+    /// of range, `tenant_sectors`/`epoch_s` is degenerate, or the trace
+    /// has more than `u32::MAX` requests.
+    pub fn build(
+        trace: &Trace,
+        placement: &[Vec<u32>],
         tenant_sectors: u64,
         epoch_s: f64,
-    ) -> ShardStream<'a> {
+        arrays: usize,
+    ) -> ShardIndex {
         assert!(!placement.is_empty(), "placement needs at least one epoch");
+        assert!(arrays > 0, "at least one array");
         let tenants = placement[0].len() as u32;
         assert!(tenants > 0, "placement rows must cover at least one tenant");
         for row in placement {
@@ -171,52 +95,93 @@ impl<'a> ShardStream<'a> {
         }
         assert!(tenant_sectors > 0, "tenant shards must be non-empty");
         assert!(epoch_s > 0.0, "fleet epoch must be positive");
-        ShardStream {
-            trace,
-            placement,
-            array,
-            tenant_sectors,
-            epoch_s,
-            tenants,
-            pos: 0,
-            hint: None,
+        assert!(
+            u32::try_from(trace.len()).is_ok(),
+            "a trace of {} requests overflows the u32 shard index",
+            trace.len()
+        );
+        let last = placement.len() - 1;
+        let route = |r: &VolumeRequest| {
+            let e = epoch_of(r.time.as_secs(), epoch_s).min(last);
+            let t = tenant_of(r.sector, tenant_sectors, tenants);
+            (t, placement[e][t as usize] as usize)
+        };
+        let mut offsets = vec![0usize; arrays + 1];
+        for r in &trace.requests {
+            let (t, a) = route(r);
+            assert!(
+                a < arrays,
+                "placement routes tenant {t} to missing array {a}"
+            );
+            offsets[a + 1] += 1;
         }
+        for a in 0..arrays {
+            offsets[a + 1] += offsets[a];
+        }
+        let mut next = offsets[..arrays].to_vec();
+        let mut order = vec![0u32; trace.len()];
+        for (i, r) in trace.requests.iter().enumerate() {
+            let a = route(r).1;
+            order[next[a]] = i as u32;
+            next[a] += 1;
+        }
+        ShardIndex { offsets, order }
     }
 
-    /// Attaches an exact request count (from [`shard_counts`]) so
-    /// consumers pre-size their allocations as the materialised path
-    /// did.
-    pub fn with_len_hint(mut self, hint: usize) -> ShardStream<'a> {
-        self.hint = Some(hint);
-        self
+    /// Requests routed, summed over every array.
+    pub fn len(&self) -> usize {
+        self.order.len()
     }
+
+    /// True if no request was routed.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// A stream of the requests routed to `array`, read from the `trace`
+    /// this index was built over.
+    ///
+    /// # Panics
+    /// Panics if `array` is out of range or `trace` is not the length of
+    /// the trace this index was built over.
+    pub fn stream<'a>(&'a self, trace: &'a Trace, array: usize) -> ShardStream<'a> {
+        assert_eq!(
+            trace.len(),
+            self.order.len(),
+            "shard index was built over a different trace"
+        );
+        ShardStream {
+            requests: &trace.requests,
+            indices: self.order[self.offsets[array]..self.offsets[array + 1]].iter(),
+        }
+    }
+}
+
+/// A [`TraceSource`] yielding the requests a [`ShardIndex`] routed to one
+/// array, in trace order, straight from the shared trace: N arrays each
+/// hold one of these over one shared trace, and nothing is cloned per
+/// array.
+#[derive(Debug, Clone)]
+pub struct ShardStream<'a> {
+    requests: &'a [VolumeRequest],
+    indices: std::slice::Iter<'a, u32>,
 }
 
 impl TraceSource for ShardStream<'_> {
     fn next_request(&mut self) -> Option<VolumeRequest> {
-        let last = self.placement.len() - 1;
-        while let Some(r) = self.trace.requests.get(self.pos) {
-            self.pos += 1;
-            let e = epoch_of(r.time.as_secs(), self.epoch_s).min(last);
-            let t = tenant_of(r.sector, self.tenant_sectors, self.tenants);
-            if self.placement[e][t as usize] == self.array {
-                return Some(*r);
-            }
-        }
-        None
+        self.indices.next().map(|&i| self.requests[i as usize])
     }
 
     fn len_hint(&self) -> Option<usize> {
-        self.hint
+        Some(self.indices.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::collect_trace;
     use crate::VolumeIoKind;
-    use simkit::SimTime;
+    use simkit::{DetRng, SimTime};
 
     fn req(t: f64, sector: u64) -> VolumeRequest {
         VolumeRequest {
@@ -258,13 +223,43 @@ mod tests {
         assert_eq!(heat, vec![vec![2, 2, 2]]);
     }
 
+    /// The per-array filter scan the index replaced: walk the whole trace
+    /// and keep the requests routed to `array`.
+    fn scan(
+        trace: &Trace,
+        placement: &[Vec<u32>],
+        tenant_sectors: u64,
+        epoch_s: f64,
+        array: u32,
+    ) -> Vec<VolumeRequest> {
+        let last = placement.len() - 1;
+        let tenants = placement[0].len() as u32;
+        trace
+            .requests
+            .iter()
+            .filter(|r| {
+                let e = epoch_of(r.time.as_secs(), epoch_s).min(last);
+                let t = tenant_of(r.sector, tenant_sectors, tenants);
+                placement[e][t as usize] == array
+            })
+            .copied()
+            .collect()
+    }
+
+    fn drain(mut stream: ShardStream<'_>) -> Vec<VolumeRequest> {
+        let mut out = Vec::new();
+        while let Some(r) = stream.next_request() {
+            out.push(r);
+        }
+        out
+    }
+
     #[test]
     fn single_array_shard_is_the_identity() {
         let tr = mixed_trace();
-        let placement = vec![vec![0, 0, 0]];
-        let shards = shard_by_placement(&tr, &placement, 100, 10.0, 1);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].requests, tr.requests);
+        let index = ShardIndex::build(&tr, &[vec![0, 0, 0]], 100, 10.0, 1);
+        assert_eq!(index.len(), tr.len());
+        assert_eq!(drain(index.stream(&tr, 0)), tr.requests);
     }
 
     #[test]
@@ -272,48 +267,120 @@ mod tests {
         let tr = mixed_trace();
         // Epoch 0: t0→a0, t1→a1, t2→a0. Epoch 1: tenant 2 moves to a1.
         let placement = vec![vec![0, 1, 0], vec![0, 1, 1]];
-        let shards = shard_by_placement(&tr, &placement, 100, 10.0, 2);
-        let total: usize = shards.iter().map(Trace::len).sum();
-        assert_eq!(total, tr.len(), "no request lost or duplicated");
-        assert_eq!(shards[0].requests.len(), 3); // t0 both epochs + t2 epoch 0
-        assert_eq!(shards[1].requests.len(), 3);
-        assert!(shards.iter().all(Trace::is_sorted));
+        let index = ShardIndex::build(&tr, &placement, 100, 10.0, 2);
+        let shards: Vec<Vec<VolumeRequest>> = (0..2).map(|a| drain(index.stream(&tr, a))).collect();
+        assert_eq!(index.len(), tr.len(), "no request lost or duplicated");
+        assert_eq!(shards[0].len(), 3); // t0 both epochs + t2 epoch 0
+        assert_eq!(shards[1].len(), 3);
         // The move lands: tenant 2's epoch-1 request is on array 1.
-        assert!(shards[1].requests.iter().any(|r| r.sector == 215));
-        assert!(shards[0].requests.iter().any(|r| r.sector == 210));
-    }
-
-    #[test]
-    fn shard_stream_matches_materialised_shards() {
-        let tr = mixed_trace();
-        let placement = vec![vec![0, 1, 0], vec![0, 1, 1]];
-        let shards = shard_by_placement(&tr, &placement, 100, 10.0, 2);
-        let counts = shard_counts(&tr, &placement, 100, 10.0, 2);
-        for (a, shard) in shards.iter().enumerate() {
-            let stream = ShardStream::new(&tr, &placement, a as u32, 100, 10.0)
-                .with_len_hint(counts[a] as usize);
-            assert_eq!(stream.len_hint(), Some(shard.len()));
-            assert_eq!(
-                collect_trace(stream).requests,
-                shard.requests,
-                "array {a} stream diverges from its materialised shard"
-            );
-        }
-        assert_eq!(counts.iter().sum::<u64>(), tr.len() as u64);
+        assert!(shards[1].iter().any(|r| r.sector == 215));
+        assert!(shards[0].iter().any(|r| r.sector == 210));
     }
 
     #[test]
     #[should_panic(expected = "missing array")]
-    fn shard_counts_rejects_out_of_range_routing() {
+    fn shard_index_rejects_out_of_range_routing() {
         let tr = mixed_trace();
-        let _ = shard_counts(&tr, &[vec![0, 5, 0]], 100, 10.0, 2);
+        let _ = ShardIndex::build(&tr, &[vec![0, 5, 0]], 100, 10.0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged placement map")]
+    fn shard_index_rejects_ragged_placement() {
+        let tr = mixed_trace();
+        let _ = ShardIndex::build(&tr, &[vec![0, 1, 0], vec![0, 1]], 100, 10.0, 2);
     }
 
     #[test]
     fn shard_preserves_relative_order_within_an_array() {
         let tr = Trace::from_requests(vec![req(0.0, 10), req(0.0, 20), req(0.0, 30)]);
-        let shards = shard_by_placement(&tr, &[vec![0]], 1_000, 10.0, 1);
-        let sectors: Vec<u64> = shards[0].requests.iter().map(|r| r.sector).collect();
+        let index = ShardIndex::build(&tr, &[vec![0]], 1_000, 10.0, 1);
+        let sectors: Vec<u64> = drain(index.stream(&tr, 0))
+            .iter()
+            .map(|r| r.sector)
+            .collect();
         assert_eq!(sectors, vec![10, 20, 30], "equal-time order is stable");
+    }
+
+    #[test]
+    fn shard_index_matches_the_per_array_scan() {
+        // Seeded sweep: equal timestamps, times past the last placement
+        // row, sectors in the folded tail, tenants moving between epochs,
+        // and arrays that receive nothing.
+        let (mut ties, mut late, mut tail, mut moved, mut idle) = (0, 0, 0, 0, 0);
+        for case in 0..200u64 {
+            let mut rng = DetRng::new(case, "shard-index");
+            let tenants = 1 + rng.below(9) as u32;
+            let tenant_sectors = 1 + rng.below(200);
+            let epoch_s = rng.uniform(1.0, 20.0);
+            let epochs = 1 + rng.below(5) as usize;
+            let routed = 1 + rng.below(4) as u32;
+            let arrays = routed as usize + rng.below(3) as usize;
+            let placement: Vec<Vec<u32>> = (0..epochs)
+                .map(|_| {
+                    (0..tenants)
+                        .map(|_| rng.below(u64::from(routed)) as u32)
+                        .collect()
+                })
+                .collect();
+            let n = rng.below(400) as usize;
+            let span = (epochs + 2) as f64 * epoch_s;
+            let mut t = 0.0;
+            let mut requests = Vec::with_capacity(n);
+            for _ in 0..n {
+                if !rng.chance(0.3) {
+                    t += rng.exponential(n as f64 / span);
+                }
+                let sector = rng.below((u64::from(tenants) + 2) * tenant_sectors);
+                requests.push(req(t, sector));
+            }
+            let tr = Trace { requests };
+            ties += tr
+                .requests
+                .windows(2)
+                .filter(|w| w[0].time == w[1].time)
+                .count();
+            late += tr
+                .requests
+                .iter()
+                .filter(|r| epoch_of(r.time.as_secs(), epoch_s) >= epochs)
+                .count();
+            tail += tr
+                .requests
+                .iter()
+                .filter(|r| r.sector >= u64::from(tenants) * tenant_sectors)
+                .count();
+            moved += placement.windows(2).filter(|w| w[0] != w[1]).count();
+
+            let index = ShardIndex::build(&tr, &placement, tenant_sectors, epoch_s, arrays);
+            assert_eq!(index.len(), tr.len(), "case {case}: routed count");
+            for a in 0..arrays {
+                let stream = index.stream(&tr, a);
+                let hint = stream.len_hint();
+                let got = drain(stream);
+                assert_eq!(
+                    got,
+                    scan(&tr, &placement, tenant_sectors, epoch_s, a as u32),
+                    "case {case}: array {a} diverges from the scan"
+                );
+                assert_eq!(hint, Some(got.len()), "case {case}: array {a} len_hint");
+                idle += usize::from(got.is_empty());
+            }
+            let mut seen = vec![false; tr.len()];
+            for &i in &index.order {
+                assert!(!seen[i as usize], "case {case}: index {i} routed twice");
+                seen[i as usize] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "case {case}: an index was dropped");
+        }
+        for (what, hits) in [
+            ("equal timestamps", ties),
+            ("late requests", late),
+            ("tail sectors", tail),
+            ("tenant moves", moved),
+            ("idle arrays", idle),
+        ] {
+            assert!(hits > 0, "the sweep never exercised {what}");
+        }
     }
 }

@@ -20,9 +20,9 @@ use fleet::{run_fleet, BudgetSchedule, FleetSpec};
 use hibernator::{Hibernator, HibernatorConfig};
 use parallel::Pool;
 use policies::{maid_array_config, DrpmPolicy, MaidConfig, MaidPolicy, PdcPolicy, TpmPolicy};
-use simkit::SimDuration;
+use simkit::{SimDuration, SimTime};
 use telemetry::TelemetryConfig;
-use workload::{Trace, WorkloadSpec};
+use workload::{Trace, VolumeIoKind, VolumeRequest, WorkloadSpec};
 
 const DURATION_S: f64 = 900.0;
 const TENANTS: u32 = 8;
@@ -271,6 +271,37 @@ fn worker_partition_does_not_change_results() {
             "jobs {jobs}: fleet stream bytes diverge"
         );
     }
+}
+
+#[test]
+fn tail_request_is_booked_under_the_last_tenant() {
+    // Three tenants do not split the volume evenly, so its last sector
+    // lies past `tenants × tenant_sectors`, in the tail that routing folds
+    // into the last tenant. The fleet's per-tenant rollup must fold it the
+    // same way rather than grow a fourth, phantom tenant.
+    let cfg = config();
+    let read = |t: f64, sector: u64| VolumeRequest {
+        time: SimTime::from_secs(t),
+        sector,
+        sectors: 1,
+        kind: VolumeIoKind::Read,
+    };
+    let spec = FleetSpec::new(
+        2,
+        3,
+        cfg.clone(),
+        RunOptions::for_horizon(60.0),
+        BudgetSchedule::unlimited(),
+    );
+    assert!(
+        spec.tenant_sectors * 3 < cfg.volume_sectors(),
+        "the volume must have a tail"
+    );
+    let tr = Trace::from_requests(vec![read(1.0, 0), read(2.0, cfg.volume_sectors() - 1)]);
+    let report = run_fleet(&spec, &tr, &Pool::new(1), |_| BasePolicy);
+    assert_eq!(report.completed, 2);
+    let counts: Vec<u64> = report.tenant_latency.iter().map(|h| h.count()).collect();
+    assert_eq!(counts, vec![1, 0, 1], "tail read lands on tenant 2");
 }
 
 #[test]

@@ -152,8 +152,8 @@ fn diurnal_mmpp_workload_matches_materialised_run() {
 
 #[test]
 fn fleet_run_matches_materialised_trace() {
-    // The fleet driver feeds its arrays through per-array `ShardStream`s
-    // over one shared trace. A shared trace collected from the streaming
+    // The fleet driver routes one shared trace once into a `ShardIndex`
+    // and feeds each array only its own requests. A shared trace collected from the streaming
     // engine must reproduce the materialised-trace fleet run exactly:
     // fleet stream bytes, per-array reports, per-array telemetry.
     let spec = spec();
