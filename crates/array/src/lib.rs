@@ -31,9 +31,10 @@ mod types;
 pub use heat::{HeatMap, RankScratch};
 pub use migration::{
     MigrationEngine, MigrationJob, MigrationRecord, MigrationRecordKind, MigrationStats,
+    PIECE_SECTORS,
 };
 pub use policy::{ArrayState, BasePolicy, PowerPolicy, WakeMarks};
 pub use remap::{Placement, RemapTable};
-pub use sim::{run_policy, run_policy_streamed, RunOptions, RunReport, Simulation};
+pub use sim::{run_policy, run_policy_streamed, RunOptions, RunReport, Simulation, TenantShards};
 pub use stats::ArrayStats;
 pub use types::{ArrayConfig, ChunkId, DiskId, Redundancy};

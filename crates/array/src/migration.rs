@@ -182,13 +182,16 @@ pub struct MigrationEngine {
     active_rebuilds: usize,
     next_job_id: u64,
     max_inflight: usize,
-    piece_sectors: u32,
     paused: bool,
     stats: MigrationStats,
     /// When true, every job lifecycle edge is appended to `records`.
     recording: bool,
     records: Vec<MigrationRecord>,
 }
+
+/// Sectors per copy piece: 128 KiB pieces keep foreground stalls behind
+/// migration service short.
+pub const PIECE_SECTORS: u32 = 256;
 
 /// Migration-request ids live in their own namespace (top bit set) so they
 /// can never collide with foreground ids handed out by the driver.
@@ -213,7 +216,6 @@ impl MigrationEngine {
             active_rebuilds: 0,
             next_job_id: 0,
             max_inflight,
-            piece_sectors: 256, // 128 KiB pieces keep foreground stalls short
             paused: false,
             stats: MigrationStats::default(),
             recording: false,
@@ -254,17 +256,6 @@ impl MigrationEngine {
         }
     }
 
-    /// Overrides the copy piece size (sectors). Smaller pieces reduce the
-    /// worst-case foreground stall behind migration service at the cost of
-    /// more per-piece overhead.
-    ///
-    /// # Panics
-    /// Panics if `sectors == 0`.
-    pub fn set_piece_sectors(&mut self, sectors: u32) {
-        assert!(sectors > 0, "piece size must be positive");
-        self.piece_sectors = sectors;
-    }
-
     /// Emits piece requests covering `[sector, sector + sectors)`.
     #[allow(clippy::too_many_arguments)]
     fn make_pieces(
@@ -280,7 +271,7 @@ impl MigrationEngine {
         let mut off = 0;
         let mut pieces = 0;
         while off < sectors {
-            let take = (sectors - off).min(self.piece_sectors);
+            let take = (sectors - off).min(PIECE_SECTORS);
             let req = self.make_req(now, sector + u64::from(off), take, kind, job);
             out.push((disk, req));
             off += take;

@@ -92,14 +92,24 @@ pub struct RunOptions {
     /// request path untouched, bit-identically to the pre-cache
     /// simulator.
     pub cache: Option<cache::CacheConfig>,
-    /// Volume sectors per tenant: when `Some(n)`, the volume is viewed as
-    /// consecutive `n`-sector tenant shards (tenant = sector / n) and the
-    /// driver keeps one response histogram per tenant in
-    /// [`RunReport::tenant_latency`]. `None` (the default) records
-    /// nothing per-tenant and leaves the run bit-identical to a driver
-    /// without tenant accounting — the histograms never influence event
-    /// order or timing either way.
-    pub tenant_sectors: Option<u64>,
+    /// Tenant sharding of the volume: when `Some`, the driver keeps one
+    /// response histogram per tenant in [`RunReport::tenant_latency`].
+    /// `None` (the default) records nothing per-tenant and leaves the run
+    /// bit-identical to a driver without tenant accounting — the
+    /// histograms never influence event order or timing either way.
+    pub tenants: Option<TenantShards>,
+}
+
+/// How the volume splits into tenants: consecutive `sectors`-sector
+/// shards, with the tail past `count × sectors` folded into the last
+/// tenant (exactly as fleet routing has it, see
+/// [`workload::tenants::tenant_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TenantShards {
+    /// Volume sectors per tenant shard (nonzero).
+    pub sectors: u64,
+    /// Tenant count (nonzero).
+    pub count: u32,
 }
 
 impl RunOptions {
@@ -115,7 +125,7 @@ impl RunOptions {
             faults: None,
             telemetry: None,
             cache: None,
-            tenant_sectors: None,
+            tenants: None,
         }
     }
 
@@ -174,10 +184,10 @@ pub struct RunReport {
     /// The serialized telemetry stream, when capture was enabled.
     pub telemetry: Option<telemetry::RunStream>,
     /// Per-tenant response histograms, indexed by tenant id — empty
-    /// unless [`RunOptions::tenant_sectors`] sharded the volume. Slots run
-    /// up to the highest tenant id served; a histogram allocates its
-    /// bucket storage on its first sample, so a slot for a tenant this
-    /// array never served costs only the struct.
+    /// unless [`RunOptions::tenants`] sharded the volume. Slots run up to
+    /// the highest tenant id served (never past the last tenant); a
+    /// histogram allocates its bucket storage on its first sample, so a
+    /// slot for a tenant this array never served costs only the struct.
     pub tenant_latency: Vec<LatencyHistogram>,
 }
 
@@ -252,7 +262,7 @@ struct PendingVolume {
     remaining: u32,
     arrival: SimTime,
     sectors: u64,
-    /// Owning tenant (0 unless `RunOptions::tenant_sectors` is set).
+    /// Owning tenant (0 unless `RunOptions::tenants` is set).
     tenant: u32,
     /// The volume was lost (a piece died with no surviving replica); its
     /// response is never recorded, but the slot lives until the in-flight
@@ -380,7 +390,7 @@ pub struct Simulation<'a, P: PowerPolicy> {
     /// Reading this instead of re-integrating energy keeps the energy
     /// accrual schedule (and its float rounding) untouched by observers.
     last_power_w: f64,
-    /// Per-tenant response histograms (empty without `tenant_sectors`).
+    /// Per-tenant response histograms (empty without tenant sharding).
     tenant_lat: Vec<LatencyHistogram>,
 }
 
@@ -426,6 +436,12 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         opts: RunOptions,
         trace_hint: usize,
     ) -> Self {
+        if let Some(t) = opts.tenants {
+            assert!(
+                t.sectors > 0 && t.count > 0,
+                "tenant shards must be non-empty"
+            );
+        }
         let mut disks: Vec<Disk> = (0..config.disks)
             .map(|i| {
                 Disk::new(
@@ -630,9 +646,9 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     }
 
     /// Mean array power over the most recent completed sampling interval,
-    /// watts (0 before the first sample). This is the pre-computed
-    /// observation from [`Self::take_sample`] — reading it accrues no
-    /// energy, so observers cannot perturb the run's float stream.
+    /// watts (0 before the first sample). It is computed when the sample
+    /// is taken — reading it accrues no energy, so observers cannot perturb
+    /// the run's float stream.
     pub fn observed_power_w(&self) -> f64 {
         self.last_power_w
     }
@@ -1426,10 +1442,9 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     /// tenant accounting is off).
     #[inline]
     fn tenant_of(&self, sector: u64) -> u32 {
-        match self.opts.tenant_sectors {
-            Some(ts) if ts > 0 => (sector / ts) as u32,
-            _ => 0,
-        }
+        self.opts.tenants.map_or(0, |t| {
+            workload::tenants::tenant_of(sector, t.sectors, t.count)
+        })
     }
 
     /// Books one completed response into its tenant's histogram. No-op
@@ -1438,7 +1453,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     /// the histogram struct, since buckets are allocated on first sample.
     #[inline]
     fn record_tenant(&mut self, tenant: u32, resp_s: f64) {
-        if self.opts.tenant_sectors.is_none() {
+        if self.opts.tenants.is_none() {
             return;
         }
         let ix = tenant as usize;

@@ -10,9 +10,12 @@
 //! * [`SpeedAllocator`] — the once-per-epoch optimisation choosing how many
 //!   disks spin at each speed: minimum predicted power subject to the goal
 //!   (exact DP, cross-checked against exhaustive search in tests);
-//! * [`match_disks`] / [`plan_migrations_filtered`] — minimal-disruption mapping of
-//!   the allocation onto concrete disks, plus hottest-first chunk moves so
-//!   fast disks hold hot data (bounded migration budget per epoch);
+//! * [`match_disks`] / [`GraceTracker::plan_round`] — minimal-disruption
+//!   mapping of the allocation onto concrete disks, plus hottest-first
+//!   chunk moves so fast disks hold hot data (bounded migration budget per
+//!   epoch). A pluggable [`MigrationPolicy`] only ranks the chunks; the
+//!   host plans every round once, under one grace period, in-flight
+//!   dedupe and budget;
 //! * [`PerfGuard`] — the measured-response watchdog that boosts everything
 //!   to full speed when the goal is endangered and winds back down only
 //!   after a hysteresis period.
@@ -35,8 +38,8 @@ mod predictor;
 pub use allocator::{Allocation, AllocationInput, SpeedAllocator};
 pub use guard::{GuardAction, GuardConfig, PerfGuard};
 pub use migpolicy::{
-    plan_migrations_filtered, AnalyticPolicy, GraceTracker, MigrationConfig, MigrationPolicy,
-    PlanOutcome, PolicyDecisionInfo, PolicyObservation, SpeedObservation, SpeedPlan,
+    AnalyticPolicy, GraceTracker, MigrationConfig, MigrationPolicy, PlanOutcome, PolicyObservation,
+    SpeedObservation, SpeedPlan,
 };
 pub use planner::match_disks;
 pub use policy::{Hibernator, HibernatorConfig, HibernatorStats, MigrationMode};

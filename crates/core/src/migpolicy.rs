@@ -1,34 +1,33 @@
 //! The pluggable migration-policy subsystem (see DESIGN.md §17).
 //!
 //! [`Hibernator`](crate::Hibernator) hosts one [`MigrationPolicy`] object
-//! and consults it at every epoch boundary: the policy observes per-chunk
-//! access heat plus the epoch's disk-level plan and proposes concrete
-//! tier moves; optionally it also takes over the speed/sleep decision
-//! itself via [`MigrationPolicy::plan_speeds`] (the SleepScale-style joint
-//! optimizer does; the others leave speeds to the analytic allocator).
+//! and consults it at every epoch boundary. A policy only *ranks* chunks:
+//! it observes per-chunk accesses and the epoch's disk-level plan and
+//! orders the chunks best candidate for the fastest tier first, with
+//! optional scores for the thresholds. It may also take over the
+//! speed/sleep decision via [`MigrationPolicy::plan_speeds`] (the
+//! SleepScale-style joint optimizer does; the others leave speeds to the
+//! analytic allocator).
 //!
-//! All implementations share one [`MigrationConfig`] vocabulary:
+//! The host owns the planning round. Its one [`GraceTracker`] turns every
+//! policy's ranking into jobs through [`GraceTracker::plan_round`], which
+//! applies the shared [`MigrationConfig`] vocabulary alike to all of them:
 //!
 //! * **grace** — a cooldown after a committed move during which the chunk
 //!   may not be re-proposed (prevents ping-ponging a chunk between tiers);
 //! * **promote/demote thresholds** — hysteresis on the policy's own score
 //!   scale: a chunk only moves to a *faster* tier when its score is at
 //!   least `promote_threshold`, and to a *slower* tier when its score is
-//!   at most `demote_threshold`;
-//! * **update period** — how often the policy refreshes its internal
-//!   ranking (0 = every epoch);
-//! * **move cap** — per-round job cap (combined with the host's epoch
-//!   budget by `min`).
+//!   at most `demote_threshold`.
 //!
+//! The round also caps the jobs at the host's per-epoch budget and always
+//! skips chunks whose previous move is still copying (re-proposing one
+//! would only be dropped by the engine and inflate its `dropped` counter).
 //! Config values select behaviour; no preset has a code path of its own.
-//! Every policy plans through [`plan_migrations_filtered`], which also
-//! always skips chunks whose previous move is still copying (re-proposing
-//! one would only be dropped by the engine and inflate its `dropped`
-//! counter).
 //!
 //! The first implementor, [`AnalyticPolicy`], is the paper's planner
-//! behind the trait: temperature ranking in, hottest chunks to the
-//! fastest tier out. It is the default [`Hibernator`](crate::Hibernator)
+//! behind the trait: the host's temperature ranking in, hottest chunks to
+//! the fastest tier out. It is the default [`Hibernator`](crate::Hibernator)
 //! brain, with the vacuous [`MigrationConfig::default`] filters.
 
 use crate::allocator::{Allocation, AllocationInput, SpeedAllocator};
@@ -39,32 +38,26 @@ use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Shared tunables of every migration policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MigrationConfig {
     /// Cooldown after a committed move: a chunk may not be re-proposed
-    /// until `grace` has elapsed since the policy observed the commit.
+    /// until `grace` has elapsed since the host observed the commit.
     pub grace: SimDuration,
     /// Minimum score for a move to a *faster* tier (`0.0` = no gate).
     pub promote_threshold: f64,
     /// Maximum score for a move to a *slower* tier (`∞` = no gate).
     pub demote_threshold: f64,
-    /// Internal ranking refresh cadence; `0` refreshes every epoch.
-    pub update_period: SimDuration,
-    /// Per-round job cap, combined with the host's epoch budget by `min`.
-    pub move_cap: usize,
 }
 
 impl Default for MigrationConfig {
-    /// Every filter vacuous — no grace, no thresholds, no cap — so the
-    /// analytic planner moves whatever the epoch plan asks for (minus
-    /// chunks still in flight). The default Hibernator's config.
+    /// Every filter vacuous — no grace, no thresholds — so the analytic
+    /// planner moves whatever the epoch plan asks for (minus chunks still
+    /// in flight). The default Hibernator's config.
     fn default() -> MigrationConfig {
         MigrationConfig {
             grace: SimDuration::ZERO,
             promote_threshold: 0.0,
             demote_threshold: f64::INFINITY,
-            update_period: SimDuration::ZERO,
-            move_cap: usize::MAX,
         }
     }
 }
@@ -97,14 +90,10 @@ pub struct PolicyObservation<'a> {
     pub disk_levels: &'a [SpeedLevel],
     /// The host's per-epoch migration budget (jobs).
     pub budget: usize,
-    /// The response-time goal, seconds.
-    pub goal_s: f64,
 }
 
 /// What a policy sees when offered the speed decision for an epoch.
 pub struct SpeedObservation<'a> {
-    /// The planning instant.
-    pub now: SimTime,
     /// The allocator input the analytic path would use (sorted-descending
     /// chunk rates, alive disk count, effective goal).
     pub input: &'a AllocationInput<'a>,
@@ -116,8 +105,6 @@ pub struct SpeedObservation<'a> {
     pub power_cap: Option<f64>,
     /// The array, read-only.
     pub state: &'a ArrayState,
-    /// Epoch length, seconds.
-    pub epoch_s: f64,
 }
 
 /// A policy-made speed decision for one epoch.
@@ -125,39 +112,20 @@ pub struct SpeedPlan {
     /// The allocation to adopt (per-level counts must cover the alive
     /// disks — sleeping disks are counted at level 0).
     pub alloc: Allocation,
-    /// Put every bottom-tier disk into standby instead of crawling at
-    /// level 0 (they wake on demand).
-    pub sleep_bottom: bool,
-}
-
-/// One planning round's accounting, emitted as a `policy` telemetry event.
-#[derive(Debug, Clone)]
-pub struct PolicyDecisionInfo {
-    /// Stable policy name (e.g. `"lfu"`).
-    pub policy: &'static str,
-    /// Jobs proposed this round.
-    pub moves: u32,
-    /// Moves withheld because the chunk was inside its grace period.
-    pub deferred_grace: u32,
-    /// Moves withheld because the chunk's previous move is still copying.
-    pub deferred_inflight: u32,
-    /// Moves withheld by the promote/demote hysteresis.
-    pub skipped_threshold: u32,
-    /// The grace period in force, seconds (audited: no chunk may start a
-    /// new move within this window of its last commit).
-    pub grace_s: f64,
-    /// Disks the policy decided to put to sleep this epoch.
+    /// Disks the plan puts to sleep. When nonzero, every bottom-tier disk
+    /// goes into standby instead of crawling at level 0 (they wake on
+    /// demand).
     pub sleepers: u32,
 }
 
 /// A data-movement brain pluggable into [`Hibernator`](crate::Hibernator).
 ///
 /// Infrequent observation (`observe_access`) feeds per-chunk statistics;
-/// once per epoch the host calls [`MigrationPolicy::propose`] (and first
-/// offers [`MigrationPolicy::plan_speeds`]) with the epoch's observation.
-/// Implementations must be deterministic: identical observation sequences
-/// must yield identical proposals (seed any randomness with
-/// [`simkit::DetRng`]).
+/// once per epoch the host first offers [`MigrationPolicy::plan_speeds`],
+/// then plans the round through [`GraceTracker::plan_round`], which asks
+/// for the policy's [`MigrationPolicy::rank`]. Implementations must be
+/// deterministic: identical observation sequences must yield identical
+/// rankings (seed any randomness with [`simkit::DetRng`]).
 pub trait MigrationPolicy: Send {
     /// Stable policy name for telemetry and reports.
     fn name(&self) -> &'static str;
@@ -167,8 +135,8 @@ pub trait MigrationPolicy: Send {
 
     /// A foreground access touched `chunk` (called per request, so keep
     /// it cheap). Default: ignore.
-    fn observe_access(&mut self, now: SimTime, chunk: ChunkId) {
-        let _ = (now, chunk);
+    fn observe_access(&mut self, chunk: ChunkId) {
+        let _ = chunk;
     }
 
     /// Offered the epoch's speed decision; return `None` to defer to the
@@ -178,20 +146,19 @@ pub trait MigrationPolicy: Send {
         None
     }
 
-    /// Propose this round's tier moves. The host clears pending jobs and
-    /// enqueues exactly what is returned.
-    fn propose(&mut self, obs: &PolicyObservation<'_>) -> Vec<MigrationJob>;
-
-    /// Accounting for the most recent round, or `None` (the default) to
-    /// stay silent in telemetry.
-    fn decision(&self) -> Option<PolicyDecisionInfo> {
-        None
+    /// This round's chunk ranking, best candidate for the fastest tier
+    /// first, and scores aligned with it for the promote/demote
+    /// thresholds (empty: no chunk is threshold-gated). Default: the
+    /// host's heat ranking and rates.
+    fn rank<'a>(&'a mut self, obs: &PolicyObservation<'a>) -> (&'a [ChunkId], &'a [f64]) {
+        (obs.ranking, obs.rates)
     }
 }
 
-/// Tracks proposed moves through commit and enforces the grace period.
+/// The host's planning state: tracks proposed moves through commit and
+/// enforces the grace period.
 ///
-/// The policy cannot see commits directly (the engine commits between
+/// The host cannot see commits directly (the engine commits between
 /// epochs), so the tracker re-checks remembered proposals against the
 /// remap table at each round: a chunk now living on its proposed
 /// destination has committed, and its cooldown starts at the *observation*
@@ -211,9 +178,34 @@ impl GraceTracker {
         GraceTracker::default()
     }
 
+    /// One planning round: starts the cooldowns of moves committed since
+    /// the last round, asks `policy` for its ranking, and packs it onto
+    /// the epoch's tiers under the policy's grace and thresholds, the
+    /// in-flight dedupe and the host budget. Keep one tracker per host
+    /// across rounds, or committed moves escape their grace period.
+    pub fn plan_round(
+        &mut self,
+        policy: &mut dyn MigrationPolicy,
+        obs: &PolicyObservation<'_>,
+    ) -> PlanOutcome {
+        let cfg = *policy.config();
+        self.note_commits(obs.now, obs.state, cfg.grace);
+        let (ranking, scores) = policy.rank(obs);
+        plan_migrations_filtered(
+            obs.state,
+            ranking,
+            scores,
+            obs.disk_levels,
+            &cfg,
+            obs.budget,
+            self,
+            obs.now,
+        )
+    }
+
     /// Scans remembered proposals for commits and starts their cooldowns;
-    /// prunes expired cooldowns. Call once at the top of every round.
-    pub fn note_commits(&mut self, now: SimTime, state: &ArrayState, grace: SimDuration) {
+    /// prunes expired cooldowns. Runs once at the top of every round.
+    fn note_commits(&mut self, now: SimTime, state: &ArrayState, grace: SimDuration) {
         let committed: Vec<u32> = self
             .proposals
             .iter()
@@ -230,19 +222,19 @@ impl GraceTracker {
     }
 
     /// True while `chunk` is inside its post-commit cooldown.
-    pub fn blocked(&self, chunk: ChunkId, now: SimTime) -> bool {
+    fn blocked(&self, chunk: ChunkId, now: SimTime) -> bool {
         self.cooldown_until
             .get(&chunk.0)
             .is_some_and(|&until| until > now)
     }
 
     /// Remembers a proposal so its commit can be detected later.
-    pub fn note_proposal(&mut self, chunk: ChunkId, dst: usize) {
+    fn note_proposal(&mut self, chunk: ChunkId, dst: usize) {
         self.proposals.insert(chunk.0, dst);
     }
 }
 
-/// A filtered planning round's output.
+/// A planning round's output.
 #[derive(Debug, Default)]
 pub struct PlanOutcome {
     /// The jobs to enqueue.
@@ -255,10 +247,10 @@ pub struct PlanOutcome {
     pub skipped_threshold: u32,
 }
 
-/// The one planning function behind every policy: the paper's chunk
+/// The one planning function behind every round: the paper's chunk
 /// delta extended with the [`MigrationConfig`] filters.
 ///
-/// `ranking` is the policy's own chunk ordering (best candidate for the
+/// `ranking` is the policy's chunk ordering (best candidate for the
 /// fastest tier first) and `disk_levels` the epoch's per-disk targets
 /// (from [`match_disks`](crate::match_disks)). Chunks are assigned in
 /// ranking order to the fastest tier's alive disks (each taking an equal
@@ -273,7 +265,7 @@ pub struct PlanOutcome {
 /// config and nothing in flight this is exactly the paper's unfiltered
 /// planner, which the unit tests keep as an oracle.
 #[allow(clippy::too_many_arguments)] // the plan inputs plus the filter state
-pub fn plan_migrations_filtered(
+fn plan_migrations_filtered(
     state: &ArrayState,
     ranking: &[ChunkId],
     scores: &[f64],
@@ -285,7 +277,6 @@ pub fn plan_migrations_filtered(
 ) -> PlanOutcome {
     let mut out = PlanOutcome::default();
     let n = disk_levels.len();
-    let budget = budget.min(cfg.move_cap);
     if n == 0 || ranking.is_empty() || budget == 0 {
         return out;
     }
@@ -369,22 +360,15 @@ pub fn plan_migrations_filtered(
 }
 
 /// The paper's analytic planner behind the trait: the host's temperature
-/// ranking in, [`plan_migrations_filtered`] out, one `policy` telemetry
-/// event per round.
+/// ranking, planned by the host's round.
 pub struct AnalyticPolicy {
     cfg: MigrationConfig,
-    grace: GraceTracker,
-    last: Option<PolicyDecisionInfo>,
 }
 
 impl AnalyticPolicy {
     /// Analytic planning with the given filters.
     pub fn with_config(cfg: MigrationConfig) -> AnalyticPolicy {
-        AnalyticPolicy {
-            cfg,
-            grace: GraceTracker::new(),
-            last: None,
-        }
+        AnalyticPolicy { cfg }
     }
 }
 
@@ -395,34 +379,6 @@ impl MigrationPolicy for AnalyticPolicy {
 
     fn config(&self) -> &MigrationConfig {
         &self.cfg
-    }
-
-    fn propose(&mut self, obs: &PolicyObservation<'_>) -> Vec<MigrationJob> {
-        self.grace.note_commits(obs.now, obs.state, self.cfg.grace);
-        let out = plan_migrations_filtered(
-            obs.state,
-            obs.ranking,
-            obs.rates,
-            obs.disk_levels,
-            &self.cfg,
-            obs.budget,
-            &mut self.grace,
-            obs.now,
-        );
-        self.last = Some(PolicyDecisionInfo {
-            policy: self.name(),
-            moves: out.jobs.len() as u32,
-            deferred_grace: out.deferred_grace,
-            deferred_inflight: out.deferred_inflight,
-            skipped_threshold: out.skipped_threshold,
-            grace_s: self.cfg.grace.as_secs(),
-            sleepers: 0,
-        });
-        out.jobs
-    }
-
-    fn decision(&self) -> Option<PolicyDecisionInfo> {
-        self.last.clone()
     }
 }
 
@@ -747,22 +703,6 @@ mod tests {
         let capped = plan(&state, &ranking, &split_levels(), 2).jobs;
         assert_eq!(capped.len(), 2);
         assert_eq!(&all[..2], &capped[..]);
-        // The config's move cap binds the same way.
-        let cfg = MigrationConfig {
-            move_cap: 2,
-            ..MigrationConfig::default()
-        };
-        let cap = plan_migrations_filtered(
-            &state,
-            &ranking,
-            &[],
-            &split_levels(),
-            &cfg,
-            100,
-            &mut GraceTracker::new(),
-            SimTime::ZERO,
-        );
-        assert_eq!(cap.jobs, capped);
     }
 
     #[test]

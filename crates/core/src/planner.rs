@@ -4,8 +4,8 @@
 //! decides *which* disks, minimising disruption: disks already at (or
 //! heading to) a level are kept there when the new allocation still wants
 //! disks at that level, so an unchanged allocation causes zero spindle
-//! transitions. Which chunks then move where — the chunk delta — is
-//! [`plan_migrations_filtered`](crate::plan_migrations_filtered).
+//! transitions. Which chunks then move where — the chunk delta — is the
+//! host's planning round, [`GraceTracker::plan_round`](crate::GraceTracker::plan_round).
 
 use array::ArrayState;
 use diskmodel::SpeedLevel;

@@ -20,7 +20,8 @@
 use crate::allocator::{Allocation, AllocationInput, SpeedAllocator};
 use crate::guard::{GuardAction, GuardConfig, PerfGuard};
 use crate::migpolicy::{
-    AnalyticPolicy, MigrationConfig, MigrationPolicy, PolicyObservation, SpeedObservation,
+    AnalyticPolicy, GraceTracker, MigrationConfig, MigrationPolicy, PlanOutcome, PolicyObservation,
+    SpeedObservation,
 };
 use crate::planner::match_disks;
 use crate::predictor::ServiceEstimator;
@@ -188,6 +189,9 @@ pub struct Hibernator {
     /// policy can borrow the host's read-only state. The default is
     /// [`AnalyticPolicy`] with [`MigrationConfig::default`] filters.
     mig_policy: Option<Box<dyn MigrationPolicy>>,
+    /// The one planning round every policy's ranking goes through: grace,
+    /// in-flight dedupe, thresholds and budget (see [`GraceTracker`]).
+    grace: GraceTracker,
     /// True while the adopted plan parks the bottom tier in standby at the
     /// migration policy's request (as opposed to the `allow_standby`
     /// config extension, which tracks its own eligibility per epoch).
@@ -224,6 +228,7 @@ impl Hibernator {
             mig_policy: Some(Box::new(AnalyticPolicy::with_config(
                 MigrationConfig::default(),
             ))),
+            grace: GraceTracker::new(),
             current_sleep: false,
             cfg,
         }
@@ -235,11 +240,6 @@ impl Hibernator {
         let mut h = Hibernator::new(cfg);
         h.mig_policy = Some(policy);
         h
-    }
-
-    /// The active migration policy's name.
-    pub fn migration_policy_name(&self) -> &'static str {
-        self.mig_policy.as_ref().expect("policy present").name()
     }
 
     /// Disables the performance guard (for the F8 ablation).
@@ -305,15 +305,13 @@ impl Hibernator {
         // (the SleepScale joint optimizer takes it); `None` defers to the
         // analytic allocator.
         let speed_plan = policy.plan_speeds(&SpeedObservation {
-            now,
             input: &input,
             allocator: alloc,
             estimator: est,
             power_cap: self.power_cap,
             state,
-            epoch_s: self.cfg.epoch.as_secs(),
         });
-        let plan_sleep = speed_plan.as_ref().is_some_and(|p| p.sleep_bottom);
+        let plan_sleepers = speed_plan.as_ref().map_or(0, |p| p.sleepers);
         let new = match speed_plan {
             Some(p) => p.alloc,
             None => {
@@ -378,7 +376,11 @@ impl Hibernator {
         // A kept plan keeps its sleep decision too; a fresh plan adopts
         // the policy's.
         let kept = self.stats.skipped_by_coarse_grain > skipped_before;
-        let adopted_sleep = if kept { self.current_sleep } else { plan_sleep };
+        let adopted_sleep = if kept {
+            self.current_sleep
+        } else {
+            plan_sleepers > 0
+        };
 
         // 4. Apply speeds (and the optional standby extension). All the
         // requests below are no-ops for disks already in the desired state,
@@ -435,7 +437,7 @@ impl Hibernator {
         // transient: ramp backlog drain plus the migration wave (×1.5
         // because foreground interleaving stretches it), capped so the
         // guard always gets the tail of each epoch.
-        self.apply_migrations(now, state, ranking, rates, &adopted, policy.as_mut());
+        let round = self.apply_migrations(now, state, ranking, rates, &adopted, policy.as_mut());
         if changed || !state.migrator.is_quiescent() {
             let drain = 1.5 * self.migration_drain_estimate_s(state, &adopted.per_level);
             if drain > 0.0 {
@@ -456,11 +458,10 @@ impl Hibernator {
                 skipped: self.stats.skipped_by_coarse_grain > skipped_before,
                 changed,
             });
-        // The policy's round accounting (moves, deferrals, grace in force)
-        // goes into the stream, where the `migration-grace` audit replays
-        // it.
-        if let Some(info) = policy.decision() {
-            let sleepers = if adopted_sleep {
+        // The round's accounting (moves, deferrals, grace in force) goes
+        // into the stream, where the `migration-grace` audit replays it.
+        if let Some(out) = round {
+            let parked = if adopted_sleep {
                 standby.len() as u32
             } else {
                 0
@@ -469,13 +470,13 @@ impl Hibernator {
                 .telemetry
                 .emit_with(|| telemetry::Event::PolicyDecision {
                     time_s: now.as_secs(),
-                    policy: info.policy,
-                    moves: info.moves,
-                    deferred_grace: info.deferred_grace,
-                    deferred_inflight: info.deferred_inflight,
-                    skipped_threshold: info.skipped_threshold,
-                    grace_s: info.grace_s,
-                    sleepers: info.sleepers.max(sleepers),
+                    policy: policy.name(),
+                    moves: out.jobs.len() as u32,
+                    deferred_grace: out.deferred_grace,
+                    deferred_inflight: out.deferred_inflight,
+                    skipped_threshold: out.skipped_threshold,
+                    grace_s: policy.config().grace.as_secs(),
+                    sleepers: plan_sleepers.max(parked),
                 });
         }
         self.current = Some(adopted);
@@ -543,7 +544,7 @@ impl Hibernator {
             .iter()
             .position(|&n| n > 0)
             .unwrap_or(per_level.len() - 1);
-        let piece_sectors = 256u32.min(state.config.chunk_sectors as u32);
+        let piece_sectors = array::PIECE_SECTORS.min(state.config.chunk_sectors as u32);
         let pieces_per_chunk =
             (state.config.chunk_sectors as f64 / f64::from(piece_sectors)).ceil();
         let piece_io = state.disks[0]
@@ -552,6 +553,8 @@ impl Hibernator {
         jobs as f64 * 2.0 * pieces_per_chunk * piece_io / state.migrator.max_inflight() as f64
     }
 
+    /// Plans the epoch's round through the host's tracker and replaces the
+    /// pending jobs with its output; `None` when migration is off.
     fn apply_migrations(
         &mut self,
         now: SimTime,
@@ -560,10 +563,10 @@ impl Hibernator {
         rates: &[f64],
         alloc: &Allocation,
         policy: &mut dyn MigrationPolicy,
-    ) {
+    ) -> Option<PlanOutcome> {
         let mut shuffled: Vec<ChunkId>;
         let order = match self.cfg.migration_mode {
-            MigrationMode::None => return,
+            MigrationMode::None => return None,
             MigrationMode::Temperature => ranking,
             MigrationMode::Random => {
                 shuffled = ranking.to_vec();
@@ -572,17 +575,20 @@ impl Hibernator {
             }
         };
         let targets = match_disks(state, &alloc.per_level);
-        let jobs = policy.propose(&PolicyObservation {
-            now,
-            state,
-            ranking: order,
-            rates,
-            disk_levels: &targets,
-            budget: self.cfg.migration_budget,
-            goal_s: self.cfg.goal_s,
-        });
+        let out = self.grace.plan_round(
+            policy,
+            &PolicyObservation {
+                now,
+                state,
+                ranking: order,
+                rates,
+                disk_levels: &targets,
+                budget: self.cfg.migration_budget,
+            },
+        );
         state.migrator.clear_pending();
-        state.migrator.enqueue(jobs);
+        state.migrator.enqueue(out.jobs.iter().copied());
+        Some(out)
     }
 }
 
@@ -661,7 +667,7 @@ impl PowerPolicy for Hibernator {
         }
         if let Some(p) = self.mig_policy.as_mut() {
             for &c in chunks {
-                p.observe_access(now, c);
+                p.observe_access(c);
             }
         }
     }

@@ -19,7 +19,7 @@
 use diskmodel::{ServiceModel, SpeedLevel};
 use simkit::Moments;
 
-/// Offered load (ρ = λ·E[S]) at or above which a server is treated as
+/// Offered load (`ρ = λ·E[S]`) at or above which a server is treated as
 /// saturated. The closed form diverges as ρ → 1, and loads this close to
 /// 1 predict response times far beyond any goal, so the allocator treats
 /// them as infeasible outright rather than comparing astronomical finite

@@ -14,7 +14,7 @@
 
 use crate::budget::{proportional_caps, BudgetSchedule};
 use crate::placement::{plan_placement, PlacementPlan};
-use array::{ArrayConfig, PowerPolicy, RunOptions, RunReport, Simulation};
+use array::{ArrayConfig, PowerPolicy, RunOptions, RunReport, Simulation, TenantShards};
 use parallel::Pool;
 use simkit::{LatencyHistogram, SimDuration, SimTime};
 use telemetry::audit::{audit_fleet_bytes, AuditError, RunAudit};
@@ -77,6 +77,14 @@ impl FleetSpec {
             fleet_epoch: SimDuration::from_mins(10.0),
             rebalance: true,
             max_moves_per_epoch: 4,
+        }
+    }
+
+    /// The tenant sharding every array books its responses under.
+    pub fn tenant_shards(&self) -> TenantShards {
+        TenantShards {
+            sectors: self.tenant_sectors,
+            count: self.tenants,
         }
     }
 }
@@ -257,7 +265,7 @@ where
                 .seed
                 .wrapping_add((i as u64).wrapping_mul(SEED_STRIDE));
             let mut opts = spec.opts.clone();
-            opts.tenant_sectors = Some(spec.tenant_sectors);
+            opts.tenants = Some(spec.tenant_shards());
             if spec.arrays > 1 {
                 if let Some(t) = opts.telemetry.as_mut() {
                     t.label = format!("{}/a{i}", t.label);
@@ -493,17 +501,13 @@ where
     let fleet_energy_j: f64 = reports.iter().map(|r| r.energy.total_joules()).sum();
     let completed: u64 = reports.iter().map(|r| r.completed).sum();
     let incomplete: u64 = reports.iter().map(|r| r.incomplete).sum();
-    // Arrays book a request in the volume's folded tail under a tenant id
-    // past the universe; fold it into the last tenant, as routing does.
-    let last_tenant = spec.tenants as usize - 1;
     let mut tenant_latency: Vec<LatencyHistogram> = Vec::new();
     for r in &reports {
-        let slots = r.tenant_latency.len().min(last_tenant + 1);
-        if tenant_latency.len() < slots {
-            tenant_latency.resize_with(slots, LatencyHistogram::new_latency);
+        if tenant_latency.len() < r.tenant_latency.len() {
+            tenant_latency.resize_with(r.tenant_latency.len(), LatencyHistogram::new_latency);
         }
         for (t, h) in r.tenant_latency.iter().enumerate() {
-            tenant_latency[t.min(last_tenant)].merge(h);
+            tenant_latency[t].merge(h);
         }
     }
 

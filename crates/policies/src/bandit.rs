@@ -17,15 +17,12 @@
 //! *visited* tiers — optionally with a UCB exploration bonus — except
 //! with probability ε (decaying per round) a uniformly random tier is
 //! preferred instead. The preference only orders the chunk ranking; the
-//! shared filtered planner maps rank positions onto the epoch's actual
-//! tiers, enforcing grace, dedupe, and budget like every other policy.
+//! host's planning round maps rank positions onto the epoch's actual
+//! tiers, enforcing grace, dedupe, and budget as for every other policy.
 
-use array::{ChunkId, MigrationJob};
-use hibernator::{
-    plan_migrations_filtered, GraceTracker, MigrationConfig, MigrationPolicy, PolicyDecisionInfo,
-    PolicyObservation,
-};
-use simkit::{DetRng, SimTime};
+use array::ChunkId;
+use hibernator::{MigrationConfig, MigrationPolicy, PolicyObservation};
+use simkit::DetRng;
 use std::collections::BTreeMap;
 
 /// Sectors per probe I/O used to price a tier's service time.
@@ -77,10 +74,10 @@ pub struct BanditPolicy {
     counts: BTreeMap<u32, f64>,
     /// chunk -> tier preferred at the last round.
     preferred: BTreeMap<u32, usize>,
+    /// The last round's ranking: preferred tier, fastest first.
+    ranking: Vec<ChunkId>,
     rounds: u64,
     rng: DetRng,
-    grace: GraceTracker,
-    last: Option<PolicyDecisionInfo>,
 }
 
 impl BanditPolicy {
@@ -100,10 +97,9 @@ impl BanditPolicy {
             visits: BTreeMap::new(),
             counts: BTreeMap::new(),
             preferred: BTreeMap::new(),
+            ranking: Vec::new(),
             rounds: 0,
             rng,
-            grace: GraceTracker::new(),
-            last: None,
         }
     }
 
@@ -167,12 +163,11 @@ impl MigrationPolicy for BanditPolicy {
         &self.cfg
     }
 
-    fn observe_access(&mut self, _now: SimTime, chunk: ChunkId) {
+    fn observe_access(&mut self, chunk: ChunkId) {
         *self.counts.entry(chunk.0).or_insert(0.0) += 1.0;
     }
 
-    fn propose(&mut self, obs: &PolicyObservation<'_>) -> Vec<MigrationJob> {
-        self.grace.note_commits(obs.now, obs.state, self.cfg.grace);
+    fn rank<'a>(&'a mut self, obs: &PolicyObservation<'a>) -> (&'a [ChunkId], &'a [f64]) {
         self.rounds += 1;
         let levels = obs.state.config.spec.num_levels();
         let chunks = obs.state.remap.chunks();
@@ -213,34 +208,13 @@ impl MigrationPolicy for BanditPolicy {
         self.counts.clear();
 
         // 3. Desired ranking: preferred tier (fastest first), then this
-        // round's access rate, then chunk id — all deterministic.
+        // round's access rate, then chunk id — all deterministic. No
+        // scores: the bandit's moves are never threshold-gated.
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.total_cmp(&a.1)).then(a.2.cmp(&b.2)));
-        let ranking: Vec<ChunkId> = ranked.iter().map(|&(_, _, c)| ChunkId(c)).collect();
-
-        let out = plan_migrations_filtered(
-            obs.state,
-            &ranking,
-            &[],
-            obs.disk_levels,
-            &self.cfg,
-            obs.budget,
-            &mut self.grace,
-            obs.now,
-        );
-        self.last = Some(PolicyDecisionInfo {
-            policy: self.name(),
-            moves: out.jobs.len() as u32,
-            deferred_grace: out.deferred_grace,
-            deferred_inflight: out.deferred_inflight,
-            skipped_threshold: out.skipped_threshold,
-            grace_s: self.cfg.grace.as_secs(),
-            sleepers: 0,
-        });
-        out.jobs
-    }
-
-    fn decision(&self) -> Option<PolicyDecisionInfo> {
-        self.last.clone()
+        self.ranking.clear();
+        self.ranking
+            .extend(ranked.iter().map(|&(_, _, c)| ChunkId(c)));
+        (&self.ranking, &[])
     }
 }
 
@@ -249,7 +223,8 @@ mod tests {
     use super::*;
     use array::{ArrayConfig, ArrayState, ArrayStats, MigrationEngine, RemapTable};
     use diskmodel::{Disk, SpeedLevel};
-    use simkit::SimDuration;
+    use hibernator::GraceTracker;
+    use simkit::{SimDuration, SimTime};
 
     fn mk_state(disks: usize, chunks: u32) -> ArrayState {
         let mut config = ArrayConfig::default_for_volume(1 << 30);
@@ -283,7 +258,6 @@ mod tests {
             rates: &[],
             disk_levels: targets,
             budget: 100,
-            goal_s: 0.02,
         }
     }
 
@@ -305,9 +279,9 @@ mod tests {
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
         let mut p = greedy();
         for _ in 0..3 {
-            p.observe_access(SimTime::ZERO, ChunkId(0));
+            p.observe_access(ChunkId(0));
         }
-        let _ = p.propose(&obs(&state, &targets, &ranking));
+        let _ = p.rank(&obs(&state, &targets, &ranking));
 
         let svc = state.disks[0]
             .service_model()
@@ -323,7 +297,7 @@ mod tests {
         );
 
         // Second round with no accesses: reward is the pure idle penalty.
-        let _ = p.propose(&obs(&state, &targets, &ranking));
+        let _ = p.rank(&obs(&state, &targets, &ranking));
         let r2 = -(b.power_weight * idle / cpd);
         let expect2 = q1 + b.learning_rate * (r2 - q1);
         let q2 = p.q_value(ChunkId(0), 5).expect("tier visited");
@@ -338,14 +312,15 @@ mod tests {
         let mut p = BanditPolicy::new();
         let e0 = p.epsilon();
         for _ in 0..20 {
-            let _ = p.propose(&obs(&state, &targets, &ranking));
+            let _ = p.rank(&obs(&state, &targets, &ranking));
         }
         assert!(p.epsilon() < e0 / 2.0, "{} vs {}", p.epsilon(), e0);
         assert!(p.epsilon() > 0.0);
     }
 
     /// Two identically-seeded bandits fed the same observations make the
-    /// same proposals round after round, including explore rounds.
+    /// same proposals round after round, including explore rounds (each
+    /// planned by its own host tracker).
     #[test]
     fn fixed_seed_tie_breaking_is_deterministic() {
         let state = mk_state(4, 32);
@@ -353,13 +328,14 @@ mod tests {
         let ranking: Vec<ChunkId> = (0..32).map(ChunkId).collect();
         let mut a = BanditPolicy::new();
         let mut b = BanditPolicy::new();
+        let (mut ga, mut gb) = (GraceTracker::new(), GraceTracker::new());
         for round in 0..10 {
             for c in 0..(round % 5) {
-                a.observe_access(SimTime::ZERO, ChunkId(c));
-                b.observe_access(SimTime::ZERO, ChunkId(c));
+                a.observe_access(ChunkId(c));
+                b.observe_access(ChunkId(c));
             }
-            let ja = a.propose(&obs(&state, &targets, &ranking));
-            let jb = b.propose(&obs(&state, &targets, &ranking));
+            let ja = ga.plan_round(&mut a, &obs(&state, &targets, &ranking)).jobs;
+            let jb = gb.plan_round(&mut b, &obs(&state, &targets, &ranking)).jobs;
             assert_eq!(ja, jb, "round {round} diverged");
             assert_eq!(a.preferred, b.preferred);
         }
@@ -378,10 +354,10 @@ mod tests {
         let mut p = greedy();
         for round in 0..60 {
             for _ in 0..40 {
-                p.observe_access(SimTime::ZERO, ChunkId(0)); // hot: on disk 0
+                p.observe_access(ChunkId(0)); // hot: on disk 0
             }
             let t = if round % 2 == 0 { &split_a } else { &split_b };
-            let _ = p.propose(&obs(&state, t, &ranking));
+            let _ = p.rank(&obs(&state, t, &ranking));
         }
         let hot = p.preferred_tier(ChunkId(0)).expect("preferred");
         let cold = p.preferred_tier(ChunkId(15)).expect("preferred");

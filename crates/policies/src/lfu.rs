@@ -1,21 +1,17 @@
 //! LFU promote/demote migration policy: frequency counters instead of the
 //! analytic EWMA temperature.
 //!
-//! Every foreground access bumps a per-chunk counter; at each refresh
-//! (gated by [`MigrationConfig::update_period`]) the counters are ranked
-//! — most-frequently-used first — and halved, so the ranking tracks a
-//! geometrically-weighted access history rather than all-time counts.
-//! Moves route through the shared filtered planner: grace period,
-//! in-flight dedupe, and count-scale promote/demote hysteresis (a chunk
-//! must earn at least `promote_threshold` accesses per round to climb,
-//! and drop to at most `demote_threshold` to sink).
+//! Every foreground access bumps a per-chunk counter; at each planning
+//! round the counters are ranked — most-frequently-used first — and
+//! halved, so the ranking tracks a geometrically-weighted access history
+//! rather than all-time counts. The counts double as the ranking's scores,
+//! so the host's round applies count-scale promote/demote hysteresis on
+//! top of grace, in-flight dedupe and budget (a chunk must earn at least
+//! `promote_threshold` accesses per round to climb, and drop to at most
+//! `demote_threshold` to sink).
 
-use array::{ChunkId, MigrationJob};
-use hibernator::{
-    plan_migrations_filtered, GraceTracker, MigrationConfig, MigrationPolicy, PolicyDecisionInfo,
-    PolicyObservation,
-};
-use simkit::SimTime;
+use array::ChunkId;
+use hibernator::{MigrationConfig, MigrationPolicy, PolicyObservation};
 use std::collections::BTreeMap;
 
 /// The LFU promote/demote policy (see module docs).
@@ -23,13 +19,10 @@ pub struct LfuPolicy {
     cfg: MigrationConfig,
     /// chunk -> decayed access count.
     counts: BTreeMap<u32, f64>,
-    /// Cached desired ranking (hottest first) and aligned scores from the
-    /// last refresh.
+    /// Desired ranking (hottest first) and aligned scores from the last
+    /// refresh.
     ranking: Vec<ChunkId>,
     scores: Vec<f64>,
-    next_update: SimTime,
-    grace: GraceTracker,
-    last: Option<PolicyDecisionInfo>,
 }
 
 impl LfuPolicy {
@@ -50,13 +43,10 @@ impl LfuPolicy {
             counts: BTreeMap::new(),
             ranking: Vec::new(),
             scores: Vec::new(),
-            next_update: SimTime::ZERO,
-            grace: GraceTracker::new(),
-            last: None,
         }
     }
 
-    fn refresh(&mut self, now: SimTime, chunks: u32) {
+    fn refresh(&mut self, chunks: u32) {
         let mut scored: Vec<(ChunkId, f64)> = (0..chunks)
             .map(|c| (ChunkId(c), self.counts.get(&c).copied().unwrap_or(0.0)))
             .collect();
@@ -69,7 +59,6 @@ impl LfuPolicy {
             *v *= 0.5;
         }
         self.counts.retain(|_, v| *v > 1e-6);
-        self.next_update = now + self.cfg.update_period;
     }
 }
 
@@ -88,48 +77,23 @@ impl MigrationPolicy for LfuPolicy {
         &self.cfg
     }
 
-    fn observe_access(&mut self, _now: SimTime, chunk: ChunkId) {
+    fn observe_access(&mut self, chunk: ChunkId) {
         *self.counts.entry(chunk.0).or_insert(0.0) += 1.0;
     }
 
-    fn propose(&mut self, obs: &PolicyObservation<'_>) -> Vec<MigrationJob> {
-        self.grace.note_commits(obs.now, obs.state, self.cfg.grace);
-        if self.ranking.len() != obs.state.remap.chunks() as usize || obs.now >= self.next_update {
-            self.refresh(obs.now, obs.state.remap.chunks());
-        }
-        let out = plan_migrations_filtered(
-            obs.state,
-            &self.ranking,
-            &self.scores,
-            obs.disk_levels,
-            &self.cfg,
-            obs.budget,
-            &mut self.grace,
-            obs.now,
-        );
-        self.last = Some(PolicyDecisionInfo {
-            policy: self.name(),
-            moves: out.jobs.len() as u32,
-            deferred_grace: out.deferred_grace,
-            deferred_inflight: out.deferred_inflight,
-            skipped_threshold: out.skipped_threshold,
-            grace_s: self.cfg.grace.as_secs(),
-            sleepers: 0,
-        });
-        out.jobs
-    }
-
-    fn decision(&self) -> Option<PolicyDecisionInfo> {
-        self.last.clone()
+    fn rank<'a>(&'a mut self, obs: &PolicyObservation<'a>) -> (&'a [ChunkId], &'a [f64]) {
+        self.refresh(obs.state.remap.chunks());
+        (&self.ranking, &self.scores)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array::{ArrayConfig, ArrayState, ArrayStats, MigrationEngine, RemapTable};
+    use array::{ArrayConfig, ArrayState, ArrayStats, MigrationEngine, MigrationJob, RemapTable};
     use diskmodel::{Disk, SpeedLevel};
-    use simkit::SimDuration;
+    use hibernator::GraceTracker;
+    use simkit::{SimDuration, SimTime};
 
     fn mk_state(disks: usize, chunks: u32) -> ArrayState {
         let mut config = ArrayConfig::default_for_volume(1 << 30);
@@ -151,26 +115,36 @@ mod tests {
         }
     }
 
+    /// One host round with a fresh tracker and a 100-job budget.
+    fn round(
+        p: &mut LfuPolicy,
+        state: &ArrayState,
+        targets: &[SpeedLevel],
+        ranking: &[ChunkId],
+    ) -> Vec<MigrationJob> {
+        let obs = PolicyObservation {
+            now: SimTime::ZERO,
+            state,
+            ranking,
+            rates: &[],
+            disk_levels: targets,
+            budget: 100,
+        };
+        GraceTracker::new().plan_round(p, &obs).jobs
+    }
+
     #[test]
     fn frequent_chunks_rank_first_and_promote() {
         let state = mk_state(4, 16);
         let mut p = LfuPolicy::new();
         // Chunks 2 and 3 live on the slow disks under striping; hammer them.
         for _ in 0..50 {
-            p.observe_access(SimTime::ZERO, ChunkId(2));
-            p.observe_access(SimTime::ZERO, ChunkId(3));
+            p.observe_access(ChunkId(2));
+            p.observe_access(ChunkId(3));
         }
         let targets = vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)];
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
-        let jobs = p.propose(&PolicyObservation {
-            now: SimTime::ZERO,
-            state: &state,
-            ranking: &ranking,
-            rates: &[],
-            disk_levels: &targets,
-            budget: 100,
-            goal_s: 0.02,
-        });
+        let jobs = round(&mut p, &state, &targets, &ranking);
         assert_eq!(p.ranking[0], ChunkId(2));
         assert_eq!(p.ranking[1], ChunkId(3));
         let promoted: Vec<u32> = jobs
@@ -195,15 +169,7 @@ mod tests {
         // demotions still happen — but nothing may climb.
         let targets = vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)];
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
-        let jobs = p.propose(&PolicyObservation {
-            now: SimTime::ZERO,
-            state: &state,
-            ranking: &ranking,
-            rates: &[],
-            disk_levels: &targets,
-            budget: 100,
-            goal_s: 0.02,
-        });
+        let jobs = round(&mut p, &state, &targets, &ranking);
         for j in &jobs {
             if let MigrationJob::Relocate { chunk, dst } = j {
                 let cur = state.remap.disk_of(*chunk);
@@ -218,12 +184,12 @@ mod tests {
     #[test]
     fn counts_halve_each_refresh() {
         let mut p = LfuPolicy::new();
-        p.observe_access(SimTime::ZERO, ChunkId(0));
-        p.observe_access(SimTime::ZERO, ChunkId(0));
-        p.refresh(SimTime::ZERO, 4);
+        p.observe_access(ChunkId(0));
+        p.observe_access(ChunkId(0));
+        p.refresh(4);
         assert_eq!(p.counts.get(&0).copied(), Some(1.0));
         assert_eq!(p.scores[0], 2.0, "refresh ranks on pre-decay counts");
-        p.refresh(SimTime::ZERO, 4);
+        p.refresh(4);
         assert_eq!(p.counts.get(&0).copied(), Some(0.5));
     }
 }

@@ -16,7 +16,10 @@
 //!
 //! Alongside the baselines live the pluggable **migration policies** for
 //! the Hibernator host (implementations of
-//! [`hibernator::MigrationPolicy`], see `DESIGN.md` §17):
+//! [`hibernator::MigrationPolicy`], see `DESIGN.md` §17). Each one only
+//! ranks chunks; the host plans every round itself through
+//! [`hibernator::GraceTracker::plan_round`], so grace, in-flight dedupe,
+//! thresholds and budget hold for all of them alike:
 //!
 //! * [`LfuPolicy`] — LFU promote/demote on decayed access counters;
 //! * [`BanditPolicy`] — an ε-greedy/UCB learner that classifies each

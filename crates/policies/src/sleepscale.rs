@@ -12,21 +12,17 @@
 //! feasible combination with the lowest total power. `k = 0` always
 //! remains a candidate, so the policy never does worse than pure speed
 //! scaling by its own model.
+//!
+//! Data movement needs nothing of its own: the policy keeps the default
+//! ranking (the host's heat order), which the host's round plans onto the
+//! adopted tiers.
 
-use array::MigrationJob;
 use diskmodel::SpeedLevel;
-use hibernator::{
-    plan_migrations_filtered, AllocationInput, GraceTracker, MigrationConfig, MigrationPolicy,
-    PolicyDecisionInfo, PolicyObservation, SpeedObservation, SpeedPlan,
-};
+use hibernator::{AllocationInput, MigrationConfig, MigrationPolicy, SpeedObservation, SpeedPlan};
 
 /// The SleepScale-style joint speed + sleep optimizer (see module docs).
 pub struct SleepScalePolicy {
     cfg: MigrationConfig,
-    grace: GraceTracker,
-    /// Sleepers chosen by the last speed plan.
-    last_sleepers: u32,
-    last: Option<PolicyDecisionInfo>,
 }
 
 impl SleepScalePolicy {
@@ -37,12 +33,7 @@ impl SleepScalePolicy {
 
     /// Joint optimizer with explicit shared config.
     pub fn with_config(cfg: MigrationConfig) -> SleepScalePolicy {
-        SleepScalePolicy {
-            cfg,
-            grace: GraceTracker::new(),
-            last_sleepers: 0,
-            last: None,
-        }
+        SleepScalePolicy { cfg }
     }
 }
 
@@ -126,39 +117,10 @@ impl MigrationPolicy for SleepScalePolicy {
                 best = joint;
             }
         }
-        self.last_sleepers = best_k as u32;
         Some(SpeedPlan {
             alloc: best,
-            sleep_bottom: best_k > 0,
+            sleepers: best_k as u32,
         })
-    }
-
-    fn propose(&mut self, obs: &PolicyObservation<'_>) -> Vec<MigrationJob> {
-        self.grace.note_commits(obs.now, obs.state, self.cfg.grace);
-        let out = plan_migrations_filtered(
-            obs.state,
-            obs.ranking,
-            obs.rates,
-            obs.disk_levels,
-            &self.cfg,
-            obs.budget,
-            &mut self.grace,
-            obs.now,
-        );
-        self.last = Some(PolicyDecisionInfo {
-            policy: self.name(),
-            moves: out.jobs.len() as u32,
-            deferred_grace: out.deferred_grace,
-            deferred_inflight: out.deferred_inflight,
-            skipped_threshold: out.skipped_threshold,
-            grace_s: self.cfg.grace.as_secs(),
-            sleepers: self.last_sleepers,
-        });
-        out.jobs
-    }
-
-    fn decision(&self) -> Option<PolicyDecisionInfo> {
-        self.last.clone()
     }
 }
 
@@ -168,7 +130,7 @@ mod tests {
     use array::{ArrayConfig, ArrayState, ArrayStats, MigrationEngine, RemapTable};
     use diskmodel::Disk;
     use hibernator::ServiceEstimator;
-    use simkit::{SimDuration, SimTime};
+    use simkit::SimDuration;
 
     fn mk_state(disks: usize, chunks: u32) -> ArrayState {
         let mut config = ArrayConfig::default_for_volume(1 << 30);
@@ -215,18 +177,15 @@ mod tests {
         let mut p = SleepScalePolicy::new();
         let plan = p
             .plan_speeds(&SpeedObservation {
-                now: SimTime::ZERO,
                 input: &input,
                 allocator: &alloc,
                 estimator: &est,
                 power_cap: None,
                 state: &state,
-                epoch_s: 7200.0,
             })
             .expect("sleepscale always plans");
         assert_eq!(plan.alloc.per_level.iter().sum::<usize>(), 4);
-        assert!(plan.sleep_bottom, "a dead-cold tail should sleep");
-        assert!(p.last_sleepers > 0);
+        assert!(plan.sleepers > 0, "a dead-cold tail should sleep");
         // Sleeping must beat the pure speed-scaling baseline on power.
         let base = alloc.allocate(&input, &est);
         assert!(
@@ -252,19 +211,16 @@ mod tests {
         let mut p = SleepScalePolicy::new();
         let plan = p
             .plan_speeds(&SpeedObservation {
-                now: SimTime::ZERO,
                 input: &input,
                 allocator: &alloc,
                 estimator: &est,
                 power_cap: None,
                 state: &state,
-                epoch_s: 7200.0,
             })
             .expect("plans");
         let base = alloc.allocate(&input, &est);
-        assert!(!plan.sleep_bottom);
+        assert_eq!(plan.sleepers, 0);
         assert_eq!(plan.alloc.per_level, base.per_level);
-        assert_eq!(p.last_sleepers, 0);
     }
 
     /// The power cap filters sleeping candidates too: a cap between the
@@ -284,24 +240,20 @@ mod tests {
         let mut p = SleepScalePolicy::new();
         let free = p
             .plan_speeds(&SpeedObservation {
-                now: SimTime::ZERO,
                 input: &input,
                 allocator: &alloc,
                 estimator: &est,
                 power_cap: None,
                 state: &state,
-                epoch_s: 7200.0,
             })
             .expect("plans");
         let capped = p
             .plan_speeds(&SpeedObservation {
-                now: SimTime::ZERO,
                 input: &input,
                 allocator: &alloc,
                 estimator: &est,
                 power_cap: Some(free.alloc.predicted_power_w * 1.01),
                 state: &state,
-                epoch_s: 7200.0,
             })
             .expect("plans");
         assert!(capped.alloc.predicted_power_w <= free.alloc.predicted_power_w * 1.01 + 1e-9);

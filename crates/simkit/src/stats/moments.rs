@@ -95,11 +95,6 @@ impl Moments {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// The raw second moment `E[X²]`, or 0 if empty.
     pub fn raw_second_moment(&self) -> f64 {
         if self.n == 0 {

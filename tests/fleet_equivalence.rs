@@ -81,7 +81,7 @@ fn both(ix: usize, label: &str, trace: &Trace) -> (RunReport, RunReport) {
         o.clone(),
     );
     let mut solo_opts = o;
-    solo_opts.tenant_sectors = Some(spec.tenant_sectors);
+    solo_opts.tenants = Some(spec.tenant_shards());
 
     let fleet_report = match ix {
         0 => run_fleet(&spec, trace, &pool, |_| BasePolicy).arrays,
@@ -277,8 +277,9 @@ fn worker_partition_does_not_change_results() {
 fn tail_request_is_booked_under_the_last_tenant() {
     // Three tenants do not split the volume evenly, so its last sector
     // lies past `tenants × tenant_sectors`, in the tail that routing folds
-    // into the last tenant. The fleet's per-tenant rollup must fold it the
-    // same way rather than grow a fourth, phantom tenant.
+    // into the last tenant. The array serving it must book it the same way
+    // rather than grow a fourth, phantom tenant slot, and so must the
+    // fleet's per-tenant rollup.
     let cfg = config();
     let read = |t: f64, sector: u64| VolumeRequest {
         time: SimTime::from_secs(t),
@@ -302,6 +303,13 @@ fn tail_request_is_booked_under_the_last_tenant() {
     assert_eq!(report.completed, 2);
     let counts: Vec<u64> = report.tenant_latency.iter().map(|h| h.count()).collect();
     assert_eq!(counts, vec![1, 0, 1], "tail read lands on tenant 2");
+    for (i, r) in report.arrays.iter().enumerate() {
+        assert!(
+            r.tenant_latency.len() <= 3,
+            "array {i} books {} tenant slots for 3 tenants",
+            r.tenant_latency.len()
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! The policy-conformance battery (see DESIGN.md §17).
 //!
 //! Every registered [`MigrationPolicy`] — the filtered analytic planner,
-//! LFU, the bandit classifier, and the SleepScale joint optimizer — must
-//! honor the shared [`MigrationConfig`] contract regardless of how it
-//! ranks chunks internally:
+//! LFU, the bandit classifier, the SleepScale joint optimizer, and a
+//! test-local policy that does nothing but rank — must honor the shared
+//! [`MigrationConfig`] contract regardless of how it ranks chunks. A
+//! policy only ranks; the host's [`GraceTracker::plan_round`] (one tracker
+//! per policy, kept across rounds as the host keeps it) makes the moves:
 //!
 //! * a chunk whose move committed is never re-proposed inside `grace`;
 //! * the host's per-round budget caps the proposal;
@@ -22,7 +24,7 @@ use array::{
 };
 use diskmodel::{Disk, SpeedLevel};
 use hibernator::{
-    AnalyticPolicy, Hibernator, HibernatorConfig, MigrationConfig, MigrationPolicy,
+    AnalyticPolicy, GraceTracker, Hibernator, HibernatorConfig, MigrationConfig, MigrationPolicy,
     PolicyObservation,
 };
 use policies::{BanditPolicy, LfuPolicy, SleepScalePolicy};
@@ -42,7 +44,47 @@ fn registry() -> Vec<(&'static str, PolicyFactory)> {
         ("lfu", || Box::new(LfuPolicy::new())),
         ("bandit", || Box::new(BanditPolicy::new())),
         ("sleepscale", || Box::new(SleepScalePolicy::new())),
+        ("flipper", || Box::new(Flipper::new())),
     ]
+}
+
+/// A policy that implements only the ranking: every round it flips
+/// between ascending and descending chunk ids, so it keeps asking to move
+/// just-committed chunks straight back. It applies no filter itself; the
+/// host's round alone must hold it to the contract.
+struct Flipper {
+    cfg: MigrationConfig,
+    ascending: bool,
+    ranking: Vec<ChunkId>,
+}
+
+impl Flipper {
+    fn new() -> Flipper {
+        Flipper {
+            cfg: MigrationConfig::adaptive(),
+            ascending: false,
+            ranking: Vec::new(),
+        }
+    }
+}
+
+impl MigrationPolicy for Flipper {
+    fn name(&self) -> &'static str {
+        "flipper"
+    }
+
+    fn config(&self) -> &MigrationConfig {
+        &self.cfg
+    }
+
+    fn rank<'a>(&'a mut self, obs: &PolicyObservation<'a>) -> (&'a [ChunkId], &'a [f64]) {
+        self.ascending = !self.ascending;
+        self.ranking = (0..obs.state.remap.chunks()).map(ChunkId).collect();
+        if !self.ascending {
+            self.ranking.reverse();
+        }
+        (&self.ranking, &[])
+    }
 }
 
 fn mk_state(disks: usize, chunks: u32) -> ArrayState {
@@ -86,11 +128,11 @@ fn ranked(chunks: u32, hot: &[u32]) -> (Vec<ChunkId>, Vec<f64>) {
 
 /// Feeds each chunk `weight(c)` accesses so count-based policies (LFU)
 /// and reward-based ones (bandit) have matching internal statistics.
-fn warm(policy: &mut dyn MigrationPolicy, now: SimTime, chunks: u32, hot: &[u32]) {
+fn warm(policy: &mut dyn MigrationPolicy, chunks: u32, hot: &[u32]) {
     for c in 0..chunks {
         let n = if hot.contains(&c) { 8 } else { 1 };
         for _ in 0..n {
-            policy.observe_access(now, ChunkId(c));
+            policy.observe_access(ChunkId(c));
         }
     }
 }
@@ -110,7 +152,6 @@ fn observe<'a>(
         rates,
         disk_levels: levels,
         budget,
-        goal_s: 0.05,
     }
 }
 
@@ -118,6 +159,7 @@ fn observe<'a>(
 fn committed_chunks_are_never_reproposed_within_grace() {
     for (name, mk) in registry() {
         let mut p = mk();
+        let mut host = GraceTracker::new();
         assert!(
             p.config().grace.as_secs() > 0.0,
             "{name}: battery requires a real grace period"
@@ -136,8 +178,9 @@ fn committed_chunks_are_never_reproposed_within_grace() {
         let mut when = SimTime::ZERO;
         for round in 0..10u32 {
             when = SimTime::from_secs(f64::from(round) * 10.0);
-            warm(p.as_mut(), when, 16, &hot);
-            let jobs = p.propose(&observe(when, &state, &ranking, &rates, &levels, 100));
+            warm(p.as_mut(), 16, &hot);
+            let obs = observe(when, &state, &ranking, &rates, &levels, 100);
+            let jobs = host.plan_round(p.as_mut(), &obs).jobs;
             for j in &jobs {
                 if committed.len() == 2 {
                     break;
@@ -161,9 +204,10 @@ fn committed_chunks_are_never_reproposed_within_grace() {
         let cold: Vec<u32> = (0..16).filter(|c| !hot.contains(c)).collect();
         let (ranking2, rates2) = ranked(16, &cold);
         let later = when + SimDuration::from_secs(60.0);
-        warm(p.as_mut(), later, 16, &cold);
-        let jobs2 = p.propose(&observe(later, &state, &ranking2, &rates2, &levels, 100));
-        for j in &jobs2 {
+        warm(p.as_mut(), 16, &cold);
+        let obs = observe(later, &state, &ranking2, &rates2, &levels, 100);
+        let round2 = host.plan_round(p.as_mut(), &obs);
+        for j in &round2.jobs {
             if let MigrationJob::Relocate { chunk, .. } = j {
                 assert!(
                     !committed.contains(chunk),
@@ -173,12 +217,11 @@ fn committed_chunks_are_never_reproposed_within_grace() {
                 );
             }
         }
-        if name == "analytic" {
-            let d = p.decision().expect("non-vacuous analytic reports");
+        if name == "analytic" || name == "flipper" {
             assert!(
-                d.deferred_grace > 0,
-                "analytic: the inverted ranking must have tried to demote \
-                 a committed chunk ({d:?})"
+                round2.deferred_grace > 0,
+                "{name}: the inverted ranking must have tried to move \
+                 a committed chunk back ({round2:?})"
             );
         }
     }
@@ -192,16 +235,18 @@ fn host_budget_caps_every_proposal() {
         let levels = split_levels();
         let hot: Vec<u32> = (0..32).filter(|c| c % 4 >= 2).collect();
         let (ranking, rates) = ranked(32, &hot);
-        warm(p.as_mut(), SimTime::ZERO, 32, &hot);
+        warm(p.as_mut(), 32, &hot);
+        let mut host = GraceTracker::new();
         for budget in [0usize, 1, 3] {
-            let jobs = p.propose(&observe(
+            let obs = observe(
                 SimTime::from_secs(1.0),
                 &state,
                 &ranking,
                 &rates,
                 &levels,
                 budget,
-            ));
+            );
+            let jobs = host.plan_round(p.as_mut(), &obs).jobs;
             assert!(
                 jobs.len() <= budget,
                 "{name}: {} jobs over budget {budget}",
@@ -225,15 +270,9 @@ fn dead_disks_never_receive_chunks() {
         let levels = split_levels();
         let hot: Vec<u32> = (0..16).filter(|c| c % 4 >= 2).collect();
         let (ranking, rates) = ranked(16, &hot);
-        warm(p.as_mut(), SimTime::ZERO, 16, &hot);
-        let jobs = p.propose(&observe(
-            SimTime::ZERO,
-            &state,
-            &ranking,
-            &rates,
-            &levels,
-            100,
-        ));
+        warm(p.as_mut(), 16, &hot);
+        let obs = observe(SimTime::ZERO, &state, &ranking, &rates, &levels, 100);
+        let jobs = GraceTracker::new().plan_round(p.as_mut(), &obs).jobs;
         for j in &jobs {
             if let MigrationJob::Relocate { dst, .. } = j {
                 assert_ne!(dst.index(), 0, "{name}: targeted the dead disk");
@@ -250,12 +289,14 @@ fn identical_histories_yield_identical_proposals() {
         let levels = split_levels();
         let hot: Vec<u32> = (0..24).filter(|c| c % 4 >= 2).collect();
         let (ranking, rates) = ranked(24, &hot);
+        let (mut ga, mut gb) = (GraceTracker::new(), GraceTracker::new());
         for round in 0..5u32 {
             let now = SimTime::from_secs(f64::from(round) * 120.0);
-            warm(a.as_mut(), now, 24, &hot);
-            warm(b.as_mut(), now, 24, &hot);
-            let ja = a.propose(&observe(now, &state, &ranking, &rates, &levels, 50));
-            let jb = b.propose(&observe(now, &state, &ranking, &rates, &levels, 50));
+            warm(a.as_mut(), 24, &hot);
+            warm(b.as_mut(), 24, &hot);
+            let obs = observe(now, &state, &ranking, &rates, &levels, 50);
+            let ja = ga.plan_round(a.as_mut(), &obs).jobs;
+            let jb = gb.plan_round(b.as_mut(), &obs).jobs;
             assert_eq!(ja, jb, "{name}: round {round} diverged");
         }
     }

@@ -418,7 +418,10 @@ pub fn queue_fault_cache_rows() -> Vec<Row> {
     let trace = queue_trace(19);
     let mut cfg = queue_config();
     cfg.redundancy = Redundancy::Raid5Like;
-    let tenant_sectors = cfg.volume_sectors() / 8;
+    let tenants = array::TenantShards {
+        sectors: cfg.volume_sectors() / 8,
+        count: 8,
+    };
     let faulted = |label: &str| {
         let mut o = queue_opts(label);
         o.faults = Some(storm(
@@ -444,7 +447,7 @@ pub fn queue_fault_cache_rows() -> Vec<Row> {
             ],
         ));
         o.cache = Some(cache::CacheConfig::with_capacity(256));
-        o.tenant_sectors = Some(tenant_sectors);
+        o.tenants = Some(tenants);
         o
     };
     vec![
