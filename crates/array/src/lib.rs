@@ -31,7 +31,7 @@ mod types;
 pub use heat::{HeatMap, RankScratch};
 pub use migration::{
     MigrationEngine, MigrationJob, MigrationRecord, MigrationRecordKind, MigrationStats,
-    PIECE_SECTORS,
+    PieceOutcome, PIECE_SECTORS,
 };
 pub use policy::{ArrayState, BasePolicy, PowerPolicy, WakeMarks};
 pub use remap::{Placement, RemapTable};

@@ -140,6 +140,30 @@ pub enum MigrationRecordKind {
     },
 }
 
+/// What one migration-piece completion did, as reported by
+/// [`MigrationEngine::on_completion`].
+#[derive(Debug)]
+pub enum PieceOutcome {
+    /// The piece only lowered its job's remaining-piece count, or belonged
+    /// to a job a disk failure tore down: no follow-on I/O, no commit or
+    /// abort, and the set of active jobs is unchanged.
+    Counted,
+    /// The piece was the last of its job's phase. The job either moved on
+    /// to its write phase — submit these requests — or finished (the
+    /// vector is empty) and freed its job slot.
+    PhaseDone(Vec<(DiskId, DiskRequest)>),
+}
+
+impl PieceOutcome {
+    /// The follow-on requests to submit (none for [`PieceOutcome::Counted`]).
+    pub fn into_requests(self) -> Vec<(DiskId, DiskRequest)> {
+        match self {
+            PieceOutcome::Counted => Vec::new(),
+            PieceOutcome::PhaseDone(reqs) => reqs,
+        }
+    }
+}
+
 /// Phase of an active job.
 #[derive(Debug)]
 enum Phase {
@@ -174,8 +198,9 @@ pub struct MigrationEngine {
     /// request id minus `MIG_ID_BASE`. A disk failure that tears a job
     /// down re-points its surviving pieces at `ORPHANED`, so their
     /// completions are swallowed and never reach a job that later reuses
-    /// the slot. (Pieces queued on the dead disk never complete; their
-    /// orphaned slots stay occupied.)
+    /// the slot. Pieces queued on the dead disk never complete; the driver
+    /// hands them to [`MigrationEngine::note_disk_failed`], which frees
+    /// their slots.
     request_to_job: Slab<u32>,
     /// Disks that have failed; jobs touching them are refused.
     dead: HashSet<usize>,
@@ -394,20 +419,23 @@ impl MigrationEngine {
         out
     }
 
-    /// True if `chunk` participates in any in-flight job. Migration
-    /// policies use this to avoid re-planning a chunk whose previous move
-    /// has started but not yet committed (an epoch shorter than the
-    /// migration latency would otherwise re-propose the chunk every round,
-    /// and each duplicate would be dropped at start — see
-    /// [`MigrationEngine::pump`]).
-    pub fn chunk_in_flight(&self, chunk: ChunkId) -> bool {
-        self.chunk_busy(chunk)
+    /// O(1): true when [`MigrationEngine::pump`] would start nothing and
+    /// change nothing — every job slot is taken, or no rebuild waits and
+    /// ordinary jobs are paused or none wait. The driver skips the pump
+    /// on such wakes.
+    pub fn pump_starts_nothing(&self) -> bool {
+        self.active.len() >= self.max_inflight
+            || (self.rebuild_pending.is_empty() && (self.paused || self.pending.is_empty()))
     }
 
     /// True if `chunk` participates in any in-flight job. Two concurrent
     /// jobs over one chunk would race on its placement, so overlapping jobs
     /// are dropped at start (the planner re-plans next epoch anyway).
-    fn chunk_busy(&self, chunk: ChunkId) -> bool {
+    /// Migration policies use this to avoid re-planning a chunk whose
+    /// previous move has started but not yet committed (an epoch shorter
+    /// than the migration latency would otherwise re-propose the chunk
+    /// every round, and each duplicate would be dropped at start).
+    pub fn chunk_in_flight(&self, chunk: ChunkId) -> bool {
         self.active.iter().any(|(_, j)| match j.job {
             MigrationJob::Relocate { chunk: c, .. } => c == chunk,
             MigrationJob::Swap { a, b } => a == chunk || b == chunk,
@@ -423,9 +451,11 @@ impl MigrationEngine {
         job: MigrationJob,
     ) -> Option<Vec<(DiskId, DiskRequest)>> {
         match job {
-            MigrationJob::Relocate { chunk, .. } if self.chunk_busy(chunk) => return None,
-            MigrationJob::Swap { a, b } if self.chunk_busy(a) || self.chunk_busy(b) => return None,
-            MigrationJob::Rebuild { chunk, .. } if self.chunk_busy(chunk) => return None,
+            MigrationJob::Relocate { chunk, .. } if self.chunk_in_flight(chunk) => return None,
+            MigrationJob::Swap { a, b } if self.chunk_in_flight(a) || self.chunk_in_flight(b) => {
+                return None
+            }
+            MigrationJob::Rebuild { chunk, .. } if self.chunk_in_flight(chunk) => return None,
             _ => {}
         }
         // Jobs touching a dead disk cannot run (its data is gone and its
@@ -552,8 +582,10 @@ impl MigrationEngine {
         }
     }
 
-    /// Routes a migration-class completion. Returns follow-on write requests
-    /// to submit; commits or aborts the job when its last write lands.
+    /// Routes a migration-class completion. Says whether the piece only
+    /// counted down its job, or ended a phase: the last read piece yields
+    /// the write requests to submit, and the last write piece commits or
+    /// aborts the job.
     ///
     /// # Panics
     /// Panics if the completion does not belong to this engine (driver bug).
@@ -562,7 +594,7 @@ impl MigrationEngine {
         now: SimTime,
         comp: &Completion,
         remap: &mut RemapTable,
-    ) -> Vec<(DiskId, DiskRequest)> {
+    ) -> PieceOutcome {
         let key = comp
             .request
             .id
@@ -574,7 +606,7 @@ impl MigrationEngine {
         if key == ORPHANED {
             // The job this piece belonged to was torn down by a disk
             // failure; the I/O happened, but there is nothing to advance.
-            return Vec::new();
+            return PieceOutcome::Counted;
         }
 
         let job = self.active.get_mut(key).expect("job state missing");
@@ -582,7 +614,7 @@ impl MigrationEngine {
             Phase::Reading { remaining } => {
                 *remaining -= 1;
                 if *remaining > 0 {
-                    return Vec::new();
+                    return PieceOutcome::Counted;
                 }
                 // All reads done → issue writes.
                 let chunk_sectors = remap.chunk_sectors() as u32;
@@ -620,12 +652,12 @@ impl MigrationEngine {
                 // Reborrow the job (make_pieces needed &mut self).
                 let job = self.active.get_mut(key).expect("job still active");
                 job.phase = Phase::Writing { remaining: count };
-                out
+                PieceOutcome::PhaseDone(out)
             }
             Phase::Writing { remaining } => {
                 *remaining -= 1;
                 if *remaining > 0 {
-                    return Vec::new();
+                    return PieceOutcome::Counted;
                 }
                 // Job complete: commit unless dirtied.
                 let job = self.active.remove(key).expect("job vanished");
@@ -722,7 +754,7 @@ impl MigrationEngine {
                         }
                     }
                 }
-                Vec::new()
+                PieceOutcome::PhaseDone(Vec::new())
             }
         }
     }
@@ -730,13 +762,16 @@ impl MigrationEngine {
     /// Tears down migration state after `disk` fails. Pending jobs touching
     /// the disk are dropped; active jobs touching it are aborted (their
     /// surviving in-flight pieces become orphans, swallowed on completion).
-    /// Returns the rebuild jobs that lost their `src` or `dst` and must be
-    /// re-targeted by the driver — a failed disk cancels copies, never the
-    /// obligation to re-protect a chunk.
+    /// `lost` is what the dead disk dropped (see [`diskmodel::Disk::fail`]):
+    /// its migration pieces will never complete, so their id slots are
+    /// freed here. Returns the rebuild jobs that lost their `src` or `dst`
+    /// and must be re-targeted by the driver — a failed disk cancels
+    /// copies, never the obligation to re-protect a chunk.
     pub fn note_disk_failed(
         &mut self,
         now: SimTime,
         disk: DiskId,
+        lost: &[DiskRequest],
         remap: &mut RemapTable,
     ) -> Vec<MigrationJob> {
         self.dead.insert(disk.index());
@@ -810,6 +845,13 @@ impl MigrationEngine {
                 }
             }
         }
+
+        // Every job with a piece on the dead disk touched it, so those
+        // pieces are orphans by now.
+        for req in lost.iter().filter(|r| r.class == RequestClass::Migration) {
+            let owner = self.request_to_job.remove((req.id - MIG_ID_BASE) as u32);
+            debug_assert_eq!(owner, Some(ORPHANED), "lost piece of a live job");
+        }
         retarget
     }
 }
@@ -843,11 +885,15 @@ mod tests {
         assert!(!reads.is_empty());
         let mut writes = Vec::new();
         for (i, (_, r)) in reads.iter().enumerate() {
-            writes.extend(engine.on_completion(
-                SimTime::from_secs(0.1 * (i + 1) as f64),
-                &complete(*r, 0.1),
-                remap,
-            ));
+            writes.extend(
+                engine
+                    .on_completion(
+                        SimTime::from_secs(0.1 * (i + 1) as f64),
+                        &complete(*r, 0.1),
+                        remap,
+                    )
+                    .into_requests(),
+            );
         }
         if dirty_after_read {
             let job = engine.active.iter().next().unwrap().1.job;
@@ -989,7 +1035,7 @@ mod tests {
             dst: DiskId(3),
         }]);
         e.pump(SimTime::ZERO, &mut t);
-        e.note_disk_failed(SimTime::from_secs(5.0), DiskId(0), &mut t);
+        e.note_disk_failed(SimTime::from_secs(5.0), DiskId(0), &[], &mut t);
         let recs = e.drain_records();
         assert_eq!(recs.len(), 2);
         assert!(matches!(
@@ -1041,6 +1087,70 @@ mod tests {
         assert!(e.pump(SimTime::ZERO, &mut t).is_empty());
         e.set_paused(false);
         assert_eq!(e.pump(SimTime::ZERO, &mut t).len(), 8); // 8 read pieces
+    }
+
+    /// Whenever `pump_starts_nothing` holds, `pump` really starts and
+    /// changes nothing — the driver skips the pump on such wakes. Engine
+    /// states are drawn at random: paused or not, pending jobs, queued
+    /// rebuilds, a rebuild deferred because its chunk is busy, and from
+    /// none to every job slot active.
+    #[test]
+    fn pump_starts_nothing_is_exact() {
+        let mut rng = simkit::DetRng::new(19, "pump-guard");
+        // Chunks 0..8 sit one per disk; each relocate moves one disk up.
+        let relocate = |c: u32| MigrationJob::Relocate {
+            chunk: ChunkId(c),
+            dst: DiskId((c as usize + 1) % 8),
+        };
+        let (mut held, mut open) = (0, 0);
+        for _ in 0..400 {
+            let mut t = remap(8, 64);
+            let max = 1 + rng.below(4) as u32;
+            let mut e = MigrationEngine::new(max as usize);
+            let active = rng.below(u64::from(max) + 1) as u32;
+            e.enqueue((0..active).map(relocate));
+            e.pump(SimTime::ZERO, &mut t);
+            assert_eq!(e.active_len(), active as usize);
+            if active > 0 && rng.chance(0.5) {
+                // Chunk 0 is mid-copy, so its rebuild waits in the queue.
+                e.set_paused(true);
+                e.enqueue_rebuild([MigrationJob::Rebuild {
+                    chunk: ChunkId(0),
+                    src: DiskId(5),
+                    dst: DiskId(6),
+                }]);
+                e.pump(SimTime::ZERO, &mut t);
+                assert_eq!(e.rebuild_outstanding(), 1, "rebuild was deferred");
+            }
+            if rng.chance(0.3) {
+                e.enqueue_rebuild([MigrationJob::Rebuild {
+                    chunk: ChunkId(9),
+                    src: DiskId(2),
+                    dst: DiskId(3),
+                }]);
+            }
+            let waiting = rng.below(3) as u32;
+            e.enqueue((active..active + waiting).map(relocate));
+            e.set_paused(rng.chance(0.5));
+
+            if !e.pump_starts_nothing() {
+                open += 1;
+                continue;
+            }
+            held += 1;
+            let snapshot = |e: &MigrationEngine| {
+                (
+                    e.stats(),
+                    e.pending_len(),
+                    e.active_len(),
+                    e.rebuild_outstanding(),
+                )
+            };
+            let before = snapshot(&e);
+            assert!(e.pump(SimTime::from_secs(1.0), &mut t).is_empty());
+            assert_eq!(snapshot(&e), before);
+        }
+        assert!(held > 100 && open > 100, "held {held}, open {open}");
     }
 
     #[test]
@@ -1116,35 +1226,43 @@ mod tests {
     fn disk_failure_aborts_jobs_and_retargets_rebuilds() {
         let mut t = remap(4, 16);
         let mut e = MigrationEngine::new(4);
-        // An ordinary relocate reading from disk 0, plus a queued one.
+        // One relocate reads from disk 0, the other is bound for it.
         e.enqueue([
             MigrationJob::Relocate {
                 chunk: ChunkId(0), // on disk 0
                 dst: DiskId(2),
             },
             MigrationJob::Relocate {
-                chunk: ChunkId(4), // on disk 0
-                dst: DiskId(3),
+                chunk: ChunkId(1), // on disk 1
+                dst: DiskId(0),
             },
         ]);
         let reads = e.pump(SimTime::ZERO, &mut t);
         assert_eq!(e.active_len(), 2);
         let occupancy_before = t.occupancy(DiskId(2));
 
-        // Disk 0 dies: both active jobs read from it.
-        let retarget = e.note_disk_failed(SimTime::ZERO, DiskId(0), &mut t);
+        // Disk 0 dies: both active jobs touch it. The reads queued on it
+        // are lost with it; the reads on disk 1 survive.
+        let (lost, survivors): (Vec<_>, Vec<_>) = reads.iter().partition(|(d, _)| *d == DiskId(0));
+        assert!(!lost.is_empty() && !survivors.is_empty());
+        let lost: Vec<DiskRequest> = lost.iter().map(|(_, r)| *r).collect();
+        let retarget = e.note_disk_failed(SimTime::ZERO, DiskId(0), &lost, &mut t);
         assert!(retarget.is_empty(), "no rebuilds were queued");
         assert_eq!(e.active_len(), 0);
         assert_eq!(e.stats().aborted, 2);
         // Reserved slots were released on the surviving destinations.
         assert_eq!(t.occupancy(DiskId(2)), occupancy_before - 1);
 
-        // Completions for the already-issued reads are swallowed, not a panic.
-        for (_, r) in &reads {
-            assert!(e
-                .on_completion(SimTime::from_secs(1.0), &complete(*r, 1.0), &mut t)
-                .is_empty());
+        // Completions for the surviving reads are swallowed, not a panic.
+        for (_, r) in &survivors {
+            assert!(matches!(
+                e.on_completion(SimTime::from_secs(1.0), &complete(*r, 1.0), &mut t),
+                PieceOutcome::Counted
+            ));
         }
+        // Lost pieces were freed at the failure, surviving ones as they
+        // drained: no piece slot leaks.
+        assert!(e.request_to_job.is_empty(), "every piece slot was freed");
 
         // A rebuild whose src dies comes back for re-targeting.
         e.enqueue_rebuild([MigrationJob::Rebuild {
@@ -1152,7 +1270,7 @@ mod tests {
             src: DiskId(1),
             dst: DiskId(2),
         }]);
-        let retarget = e.note_disk_failed(SimTime::ZERO, DiskId(1), &mut t);
+        let retarget = e.note_disk_failed(SimTime::ZERO, DiskId(1), &[], &mut t);
         assert_eq!(retarget.len(), 1);
         assert!(matches!(retarget[0], MigrationJob::Rebuild { .. }));
         assert_eq!(e.rebuild_outstanding(), 0);
@@ -1184,7 +1302,7 @@ mod tests {
         let stale = e.pump(SimTime::ZERO, &mut t);
         let slot_a = e.active.iter().next().unwrap().0;
         // Disk 2 dies: A is dropped, its reads on disk 0 survive.
-        e.note_disk_failed(SimTime::from_secs(1.0), DiskId(2), &mut t);
+        e.note_disk_failed(SimTime::from_secs(1.0), DiskId(2), &[], &mut t);
         assert_eq!(e.active_len(), 0);
 
         // Job B moves chunk 1 (disk 1) to disk 3, in A's freed slot.
@@ -1204,9 +1322,10 @@ mod tests {
 
         // A's pieces land now: swallowed, B untouched.
         for (_, r) in &stale {
-            assert!(e
-                .on_completion(SimTime::from_secs(3.0), &complete(*r, 3.0), &mut t)
-                .is_empty());
+            assert!(matches!(
+                e.on_completion(SimTime::from_secs(3.0), &complete(*r, 3.0), &mut t),
+                PieceOutcome::Counted
+            ));
         }
         assert!(matches!(
             e.active.get(slot_a).unwrap().phase,
@@ -1215,7 +1334,10 @@ mod tests {
 
         let mut writes = Vec::new();
         for (_, r) in &reads {
-            writes.extend(e.on_completion(SimTime::from_secs(4.0), &complete(*r, 4.0), &mut t));
+            writes.extend(
+                e.on_completion(SimTime::from_secs(4.0), &complete(*r, 4.0), &mut t)
+                    .into_requests(),
+            );
         }
         assert!(writes.iter().all(|(d, _)| *d == DiskId(3)));
         for (_, w) in &writes {

@@ -32,7 +32,7 @@
 //!
 //! # Hot-path structure
 //!
-//! Three optimisations shape the inner loop:
+//! Four optimisations shape the inner loop:
 //!
 //! * The event queue ([`simkit::EventQueue`]) runs on a radix-rung
 //!   *ladder* instead of a binary heap.
@@ -40,6 +40,11 @@
 //!   the very next pop anyway, [`Self::handle_arrival`] processes it
 //!   inline, reserving its `(time, seq)` queue key so ordering and event
 //!   counts match the queued path exactly.
+//! * Migration *piece wakes* are lean: a piece that only counted down its
+//!   job ([`crate::PieceOutcome::Counted`]), while the pump would start
+//!   nothing, skips the pump and resyncs only its own disk — the general
+//!   tail minus its no-ops. If that disk's next wake would be the very
+//!   next pop, it is served inline the same way as a batched arrival.
 //! * In-flight request state (piece→volume gather with each piece's retry
 //!   count, pending volumes) lives in [`simkit::Slab`] arenas whose slot
 //!   indices *are* the request ids, so the per-request maps never hash and
@@ -56,7 +61,7 @@
 //! `tests/golden/reference_fingerprints.txt`; `tests/reference_goldens.rs`
 //! checks every scenario against them.
 
-use crate::migration::{MigrationJob, MigrationStats};
+use crate::migration::{MigrationJob, MigrationStats, PieceOutcome};
 use crate::policy::{ArrayState, PowerPolicy, WakeMarks};
 use crate::remap::RemapTable;
 use crate::stats::ArrayStats;
@@ -603,12 +608,12 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     }
 
     /// Handles one popped event — the body of the main loop. `limit` is
-    /// the stepping bound, forwarded so batched arrival admission never
-    /// runs past the segment the caller asked for.
+    /// the stepping bound, forwarded so batched arrival admission and
+    /// inline piece wakes never run past the segment the caller asked for.
     fn dispatch(&mut self, now: SimTime, ev: Event, limit: SimTime) {
         match ev {
             Event::Arrival => self.handle_arrival(now, limit),
-            Event::DiskWake(d, gen) => self.handle_disk_wake(now, d, gen),
+            Event::DiskWake(d, gen) => self.handle_disk_wake(now, d, gen, limit),
             Event::Tick => {
                 self.policy.on_tick(now, &mut self.state);
                 // The tick hook may mutate any spindle directly.
@@ -700,8 +705,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             // within the stepping limit — handle the arrival inline and
             // skip the queue round-trip. `events_processed` counts it
             // exactly as a pop would, so reports stay identical.
-            let pops_next = self.events.peek_key().is_none_or(|k| key < k);
-            if pops_next && t <= limit {
+            if self.pops_next(t, key, limit) {
                 self.events_processed += 1;
                 now = t;
             } else {
@@ -1072,20 +1076,37 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         }
     }
 
-    fn handle_disk_wake(&mut self, now: SimTime, d: usize, gen: u64) {
+    /// Serves a popped wake of disk `d`, then any of its follow-on wakes
+    /// that [`Self::serve_wake`] hands back to run inline. Each inline
+    /// wake counts in `events_processed` exactly as a pop would.
+    fn handle_disk_wake(&mut self, now: SimTime, d: usize, gen: u64, limit: SimTime) {
         if self.gens[d] != gen {
             return; // superseded
         }
+        let mut now = now;
+        while let Some(next) = self.serve_wake(now, d, limit) {
+            self.events_processed += 1;
+            now = next;
+        }
+    }
+
+    /// Serves one due wake of disk `d`. Returns the time of `d`'s next
+    /// wake when the lean piece path chose to serve it inline.
+    fn serve_wake(&mut self, now: SimTime, d: usize, limit: SimTime) -> Option<SimTime> {
         let completion = self.state.disks[d].poll_event(now);
-        self.state.wake_marks.mark(d);
         if let Some(comp) = completion {
             match comp.request.class {
                 RequestClass::Migration => {
-                    let follow =
+                    let outcome =
                         self.state
                             .migrator
                             .on_completion(now, &comp, &mut self.state.remap);
-                    for (disk, req) in follow {
+                    if matches!(outcome, PieceOutcome::Counted)
+                        && self.state.migrator.pump_starts_nothing()
+                    {
+                        return self.finish_counted_piece(now, d, limit);
+                    }
+                    for (disk, req) in outcome.into_requests() {
                         self.state.disks[disk.index()].submit(now, req);
                         self.state.wake_marks.mark(disk.index());
                     }
@@ -1131,9 +1152,43 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                 }
             }
         }
+        self.state.wake_marks.mark(d);
         self.pump_migration(now);
         self.note_rebuild_progress(now);
         self.resync(now);
+        None
+    }
+
+    /// The lean tail of a wake whose migration piece only counted down its
+    /// job while the pump would start nothing. Only disk `d` changed, so
+    /// this is the general tail minus its no-ops: the rebuild check, a
+    /// resync of `d` alone (the same queue push the full resync would
+    /// make) and the instrument-log drain. When `d`'s next wake would be
+    /// the very next pop ([`Self::pops_next`]), it is not queued; its time
+    /// is returned for the caller to serve inline.
+    fn finish_counted_piece(&mut self, now: SimTime, d: usize, limit: SimTime) -> Option<SimTime> {
+        debug_assert!(self.state.wake_marks.is_empty(), "a handler left marks");
+        self.note_rebuild_progress(now);
+        let wake = self.reserve_wake(d, now);
+        #[cfg(debug_assertions)]
+        self.assert_wakes_synced();
+        self.drain_instrument_logs();
+        let (t, key) = wake?;
+        if self.pops_next(t, key, limit) {
+            return Some(t);
+        }
+        self.events
+            .push_reserved(key, Event::DiskWake(d, self.gens[d]));
+        None
+    }
+
+    /// True when an event under the reserved `key`, due at `t`, would be
+    /// the very next pop of [`Self::step_until`] — it beats everything
+    /// queued and falls within `limit` and the horizon — so it can be
+    /// handled inline, skipping the queue round-trip.
+    #[inline]
+    fn pops_next(&self, t: SimTime, key: u128, limit: SimTime) -> bool {
+        t <= limit && t <= self.opts.horizon && self.events.peek_key().is_none_or(|k| key < k)
     }
 
     /// Books a good foreground completion: service stats, volume gather,
@@ -1268,10 +1323,10 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             });
 
         let dropped = self.state.disks[d].fail(now);
-        let retarget = self
-            .state
-            .migrator
-            .note_disk_failed(now, DiskId(d), &mut self.state.remap);
+        let retarget =
+            self.state
+                .migrator
+                .note_disk_failed(now, DiskId(d), &dropped, &mut self.state.remap);
 
         // Stranded foreground requests: re-aim at the surviving redundancy
         // partner (the request id survives, so the volume gather still
@@ -1279,7 +1334,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
         let cs = self.state.remap.chunk_sectors();
         for req in dropped {
             if req.class != RequestClass::Foreground {
-                continue; // migration pieces were handled by the engine
+                continue; // the engine freed the migration pieces above
             }
             let Some(&Piece { parent, .. }) = self.gather.get(req.id as u32) else {
                 continue;
@@ -1485,15 +1540,25 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     /// Refreshes one disk's scheduled wake if its next event time moved.
     #[inline]
     fn resync_disk(&mut self, d: usize, now: SimTime) {
-        let t = self.state.disks[d].next_event_time();
-        if t != self.scheduled[d] {
-            self.scheduled[d] = t;
-            self.gens[d] += 1;
-            if let Some(t) = t {
-                self.events
-                    .push(t.max(now), Event::DiskWake(d, self.gens[d]));
-            }
+        if let Some((_, key)) = self.reserve_wake(d, now) {
+            self.events
+                .push_reserved(key, Event::DiskWake(d, self.gens[d]));
         }
+    }
+
+    /// If disk `d`'s next event time moved, supersedes its scheduled wake
+    /// and reserves the queue key of the new one, returning its firing
+    /// time and key (`None` when nothing moved or no event is due).
+    #[inline]
+    fn reserve_wake(&mut self, d: usize, now: SimTime) -> Option<(SimTime, u128)> {
+        let t = self.state.disks[d].next_event_time();
+        if t == self.scheduled[d] {
+            return None;
+        }
+        self.scheduled[d] = t;
+        self.gens[d] += 1;
+        let t = t?.max(now);
+        Some((t, self.events.reserve_key(t)))
     }
 
     /// Debug cross-check: after an incremental resync, no disk may have a

@@ -645,11 +645,11 @@ mod tests {
     #[test]
     fn filtered_planner_avoids_dead_disks() {
         let mut state = mk_state(4, 16);
-        let _ = state.disks[0].fail(SimTime::ZERO);
+        let lost = state.disks[0].fail(SimTime::ZERO);
         let mut remap = std::mem::replace(&mut state.remap, RemapTable::striped(&state.config));
         let _ = state
             .migrator
-            .note_disk_failed(SimTime::ZERO, DiskId(0), &mut remap);
+            .note_disk_failed(SimTime::ZERO, DiskId(0), &lost, &mut remap);
         state.remap = remap;
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
         let mut grace = GraceTracker::new();

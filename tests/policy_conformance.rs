@@ -261,11 +261,11 @@ fn dead_disks_never_receive_chunks() {
     for (name, mk) in registry() {
         let mut p = mk();
         let mut state = mk_state(4, 16);
-        let _ = state.disks[0].fail(SimTime::ZERO);
+        let lost = state.disks[0].fail(SimTime::ZERO);
         let mut remap = std::mem::replace(&mut state.remap, RemapTable::striped(&state.config));
         let _ = state
             .migrator
-            .note_disk_failed(SimTime::ZERO, array::DiskId(0), &mut remap);
+            .note_disk_failed(SimTime::ZERO, array::DiskId(0), &lost, &mut remap);
         state.remap = remap;
         let levels = split_levels();
         let hot: Vec<u32> = (0..16).filter(|c| c % 4 >= 2).collect();

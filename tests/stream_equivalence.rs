@@ -22,7 +22,7 @@ use fleet::{run_fleet, BudgetSchedule, FleetSpec};
 use hibernator::{Hibernator, HibernatorConfig};
 use parallel::Pool;
 use policies::{maid_array_config, DrpmPolicy, MaidConfig, MaidPolicy, PdcPolicy, TpmPolicy};
-use simkit::{SimDuration, SimTime};
+use simkit::{DetRng, SimDuration, SimTime};
 use std::sync::atomic::Ordering;
 use telemetry::TelemetryConfig;
 use workload::{collect_trace, Counted, WorkloadSpec};
@@ -188,6 +188,66 @@ fn fleet_run_matches_materialised_trace() {
         let sa = ra.telemetry.take().expect("stream a");
         let sb = rb.telemetry.take().expect("stream b");
         assert_eq!(sa.bytes, sb.bytes, "fleet array {i} telemetry differs");
+    }
+}
+
+#[test]
+fn migrating_run_stepped_through_copy_bursts_matches_unsegmented_run() {
+    // A Hibernator whose goal (1.6x Base's mean response) splits the
+    // array into tiers, with a 180 s epoch, plans early and copies each
+    // chunk in 128 KiB pieces. Pausing at random instants 1 ms to 5 s
+    // apart (log-uniform, so ~1,500 pauses of mostly well under a second)
+    // lands many pauses between two pieces of one copy, where the
+    // driver may serve a disk's next wake inline only within the stepping
+    // limit. The segmented run must equal the unsegmented one, and at
+    // every pause it must have completed exactly the requests the
+    // unsegmented run served by then — nothing past the limit.
+    let spec = spec();
+    let trace = spec.generate(7);
+    let base = run_policy(
+        config(),
+        array::BasePolicy,
+        &trace,
+        RunOptions::for_horizon(DURATION_S),
+    );
+    let migrating = || {
+        let mut cfg = HibernatorConfig::for_goal(base.response.mean() * 1.6);
+        cfg.epoch = SimDuration::from_secs(180.0);
+        cfg.heat_tau = SimDuration::from_secs(180.0);
+        Hibernator::new(cfg)
+    };
+    let mut whole = run_policy(config(), migrating(), &trace, opts("Hibernator"));
+    assert!(whole.migration.committed > 0, "the run must migrate");
+
+    let mut sim = Simulation::new(config(), migrating(), &trace, opts("Hibernator"));
+    let mut rng = DetRng::new(7, "segments");
+    let mut pauses = Vec::new();
+    let mut t = 0.0;
+    while t < DURATION_S {
+        t += 0.001 * 5000f64.powf(rng.uniform01());
+        sim.step_until(SimTime::from_secs(t));
+        pauses.push((t, sim.completed()));
+    }
+    let (mut stepped, _) = sim.finish();
+    assert_eq!(
+        fingerprint(&stepped),
+        fingerprint(&whole),
+        "segmented stepping changed the run"
+    );
+    let ss = stepped.telemetry.take().expect("stepped stream");
+    let ws = whole.telemetry.take().expect("whole stream");
+    assert_eq!(ss.bytes, ws.bytes, "segmented stepping changed telemetry");
+
+    let served: Vec<f64> = String::from_utf8(ws.bytes)
+        .expect("utf-8 stream")
+        .lines()
+        .filter_map(|l| l.strip_prefix("{\"ev\":\"served\",\"t\":"))
+        .map(|rest| rest.split(',').next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(served.len() as u64, whole.completed);
+    for (t, completed) in pauses {
+        let due = served.iter().filter(|&&s| s <= t).count() as u64;
+        assert_eq!(completed, due, "pause at {t} s ran past its limit");
     }
 }
 
