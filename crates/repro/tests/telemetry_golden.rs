@@ -85,3 +85,64 @@ fn stream_matches_golden_at_any_jobs_count() {
     assert!(outcome.passed(), "golden stream fails audit");
     assert_eq!(outcome.runs.len(), 16, "t3 covers 8 policies x 2 workloads");
 }
+
+/// Mutants audited by [`mutated_golden_lines_fail_typed_never_panic`].
+const MUTANTS: usize = 3_000;
+
+/// Truncates, splices and flips bytes in golden-stream lines and audits
+/// the mutated run with both auditors: every mutant must come back `Ok` or
+/// as a typed parse error located on a line of the input — never a panic.
+/// The budget is fixed and the mutations are seeded, so a failure
+/// reproduces exactly.
+#[test]
+fn mutated_golden_lines_fail_typed_never_panic() {
+    use simkit::DetRng;
+    use telemetry::audit::{audit_bytes, audit_fleet_bytes, AuditError};
+
+    let golden = std::fs::read_to_string(golden_path()).expect("read golden");
+    let lines: Vec<&str> = golden.lines().collect();
+    // Run segments, header through trailer.
+    let starts: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("{\"ev\":\"run_start\""))
+        .chain([lines.len()])
+        .collect();
+    let runs: Vec<&[&str]> = starts.windows(2).map(|w| &lines[w[0]..w[1]]).collect();
+    let mut rng = DetRng::new(20, "audit-mutation");
+    let mut below = |n: usize| rng.below(n as u64) as usize;
+    let (mut ok, mut typed) = (0usize, 0usize);
+    for _ in 0..MUTANTS {
+        let run = runs[below(runs.len())];
+        let mut mutant: Vec<Vec<u8>> = run.iter().map(|l| l.as_bytes().to_vec()).collect();
+        for _ in 0..1 + below(3) {
+            let line = &mut mutant[below(run.len())];
+            match below(3) {
+                0 => line.truncate(below(line.len() + 1)),
+                1 => {
+                    let other = lines[below(lines.len())].as_bytes();
+                    line.truncate(below(line.len() + 1));
+                    line.extend_from_slice(&other[below(other.len() + 1)..]);
+                }
+                _ if line.is_empty() => {}
+                _ => {
+                    let at = below(line.len());
+                    // Printable ASCII: quotes, brackets, digits, `\`, …
+                    line[at] = b' ' + below(95) as u8;
+                }
+            }
+        }
+        let bytes = mutant.join(&b'\n');
+        for outcome in [
+            audit_bytes(&bytes).map(|_| ()),
+            audit_fleet_bytes(&bytes).map(|_| ()),
+        ] {
+            match outcome {
+                Ok(()) => ok += 1,
+                Err(AuditError::Parse(n, _)) => {
+                    assert!(n <= mutant.len(), "error located past the input");
+                    typed += 1;
+                }
+            }
+        }
+    }
+    assert!(ok > 0 && typed > 0, "{ok} ok, {typed} typed errors");
+}

@@ -1,8 +1,8 @@
 //! Replay a serialized event stream and check cross-cutting invariants.
 //!
 //! The auditor is deliberately decoupled from the simulator: it scans the
-//! JSON-lines text directly (same field-scanner idiom as the workload
-//! trace reader) and reconstructs every derived quantity from first
+//! JSON-lines text directly — one byte pass per line splits it into its
+//! top-level fields — and reconstructs every derived quantity from first
 //! principles — energy totals from per-disk summaries, power integrals
 //! from samples, the goal-violation fraction from individual
 //! `RequestServed` events — then reconciles them against the stream's own
@@ -77,88 +77,202 @@ impl AuditOutcome {
     }
 }
 
-/// Scans `line` for `"key":` and returns the raw value text, skipping
-/// over nested arrays/objects and quoted strings.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let (mut depth, mut in_str, mut esc) = (0i32, false, false);
-    for (i, c) in rest.char_indices() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if c == '\\' {
-                esc = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '[' | '{' => depth += 1,
-            ']' => depth -= 1,
-            '}' => {
-                if depth == 0 {
-                    return Some(rest[..i].trim());
+/// One stream line split into its top-level `(key, raw value)` pairs.
+///
+/// [`Fields::scan`] walks the line's bytes once; the pair buffer is reused
+/// from line to line, so a whole stream is audited without a per-field
+/// allocation or a per-lookup search of the text. The typed accessors look
+/// keys up among the pairs and fail with the line number and key.
+#[derive(Default)]
+struct Fields<'a> {
+    /// 1-based line number of the scanned line.
+    n: usize,
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    /// Splits the JSON object on `line` (line number `n`) into its
+    /// top-level fields. Values stay raw text: strings keep their quotes,
+    /// arrays and objects their brackets.
+    fn scan(&mut self, line: &'a str, n: usize) -> Result<(), AuditError> {
+        self.n = n;
+        self.pairs.clear();
+        let b = line.as_bytes();
+        let err = |what: &str| AuditError::Parse(n, format!("malformed line: {what}"));
+        let mut i = skip_ws(b, 0);
+        expect_byte(b, i, b'{', "expected '{'").map_err(err)?;
+        i = skip_ws(b, i + 1);
+        if b.get(i) == Some(&b'}') {
+            i += 1;
+        } else {
+            loop {
+                expect_byte(b, i, b'"', "expected a quoted key").map_err(err)?;
+                let key_end = string_end(b, i).map_err(err)?;
+                let key = &line[i + 1..key_end - 1];
+                i = skip_ws(b, key_end);
+                expect_byte(b, i, b':', "expected ':' after a key").map_err(err)?;
+                i = skip_ws(b, i + 1);
+                let start = i;
+                i = value_end(b, i).map_err(err)?;
+                self.pairs.push((key, &line[start..i]));
+                i = skip_ws(b, i);
+                match b.get(i) {
+                    Some(b',') => i = skip_ws(b, i + 1),
+                    Some(b'}') => {
+                        i += 1;
+                        break;
+                    }
+                    None => return Err(err("truncated line")),
+                    Some(_) => return Err(err("expected ',' or '}'")),
                 }
-                depth -= 1;
             }
-            ',' if depth == 0 => return Some(rest[..i].trim()),
-            _ => {}
+        }
+        if skip_ws(b, i) != b.len() {
+            return Err(err("trailing bytes after the object"));
+        }
+        Ok(())
+    }
+
+    /// The raw value text of `key`, if present.
+    fn raw(&self, key: &str) -> Option<&'a str> {
+        self.pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    /// A finite `f64` field: JSON has no NaN or infinity, so `NaN`, `inf`
+    /// (which `f64::from_str` accepts) and out-of-range literals are
+    /// rejected.
+    fn f64_field(&self, key: &str) -> Result<f64, AuditError> {
+        let raw = self
+            .raw(key)
+            .ok_or_else(|| AuditError::Parse(self.n, format!("bad/missing f64 field {key:?}")))?;
+        self.finite(key, raw)
+    }
+
+    fn finite(&self, key: &str, raw: &str) -> Result<f64, AuditError> {
+        match raw.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            Ok(_) => Err(AuditError::Parse(
+                self.n,
+                format!("non-finite f64 field {key:?}: {raw}"),
+            )),
+            Err(_) => Err(AuditError::Parse(
+                self.n,
+                format!("bad/missing f64 field {key:?}"),
+            )),
         }
     }
-    None
-}
 
-fn f64_field(line: &str, n: usize, key: &str) -> Result<f64, AuditError> {
-    json_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing f64 field {key:?}")))
-}
+    fn u64_field(&self, key: &str) -> Result<u64, AuditError> {
+        self.raw(key)
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| AuditError::Parse(self.n, format!("bad/missing u64 field {key:?}")))
+    }
 
-fn u64_field(line: &str, n: usize, key: &str) -> Result<u64, AuditError> {
-    json_field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing u64 field {key:?}")))
-}
+    fn str_field(&self, key: &str) -> Result<&'a str, AuditError> {
+        self.raw(key)
+            .and_then(|v| v.strip_prefix('"'))
+            .and_then(|v| v.strip_suffix('"'))
+            .ok_or_else(|| AuditError::Parse(self.n, format!("bad/missing string field {key:?}")))
+    }
 
-fn str_field<'a>(line: &'a str, n: usize, key: &str) -> Result<&'a str, AuditError> {
-    json_field(line, key)
-        .and_then(|v| v.strip_prefix('"'))
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing string field {key:?}")))
-}
+    /// An `f64` field that may be JSON `null` (unlimited budgets serialize
+    /// as `null`).
+    fn opt_f64_field(&self, key: &str) -> Result<Option<f64>, AuditError> {
+        match self.raw(key) {
+            Some("null") => Ok(None),
+            Some(v) => self.finite(key, v).map(Some),
+            None => Err(AuditError::Parse(self.n, format!("missing field {key:?}"))),
+        }
+    }
 
-/// An `f64` field that may be JSON `null` (unlimited budgets serialize
-/// as `null`).
-fn opt_f64_field(line: &str, n: usize, key: &str) -> Result<Option<f64>, AuditError> {
-    match json_field(line, key) {
-        Some("null") => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| AuditError::Parse(n, format!("bad f64 field {key:?}"))),
-        None => Err(AuditError::Parse(n, format!("missing field {key:?}"))),
+    fn u64_array(&self, key: &str) -> Result<Vec<u64>, AuditError> {
+        let raw = self
+            .raw(key)
+            .and_then(|v| v.strip_prefix('['))
+            .and_then(|v| v.strip_suffix(']'))
+            .ok_or_else(|| AuditError::Parse(self.n, format!("bad/missing array field {key:?}")))?;
+        if raw.trim().is_empty() {
+            return Ok(Vec::new());
+        }
+        raw.split(',')
+            .map(|x| {
+                x.trim()
+                    .parse()
+                    .map_err(|_| AuditError::Parse(self.n, format!("bad element in array {key:?}")))
+            })
+            .collect()
     }
 }
 
-fn u64_array(line: &str, n: usize, key: &str) -> Result<Vec<u64>, AuditError> {
-    let raw = json_field(line, key)
-        .and_then(|v| v.strip_prefix('['))
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| AuditError::Parse(n, format!("bad/missing array field {key:?}")))?;
-    if raw.trim().is_empty() {
-        return Ok(Vec::new());
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while b.get(i).is_some_and(u8::is_ascii_whitespace) {
+        i += 1;
     }
-    raw.split(',')
-        .map(|x| {
-            x.trim()
-                .parse()
-                .map_err(|_| AuditError::Parse(n, format!("bad element in array {key:?}")))
-        })
-        .collect()
+    i
+}
+
+/// Checks that `b[i]` is `want`; running out of bytes is a truncation.
+fn expect_byte(b: &[u8], i: usize, want: u8, what: &'static str) -> Result<(), &'static str> {
+    match b.get(i) {
+        Some(&c) if c == want => Ok(()),
+        Some(_) => Err(what),
+        None => Err("truncated line"),
+    }
+}
+
+/// `b[i]` opens a string; returns the index just past its closing quote.
+fn string_end(b: &[u8], i: usize) -> Result<usize, &'static str> {
+    let mut j = i + 1;
+    while j < b.len() {
+        match b[j] {
+            b'\\' => j += 2,
+            b'"' => return Ok(j + 1),
+            _ => j += 1,
+        }
+    }
+    Err("unterminated string")
+}
+
+/// Returns the index just past the value starting at `b[i]`: a string, a
+/// bracketed array or object (nesting and quoted brackets skipped), or a
+/// bare scalar running to the next `,`, `}` or whitespace.
+fn value_end(b: &[u8], i: usize) -> Result<usize, &'static str> {
+    match b.get(i) {
+        None => Err("truncated line"),
+        Some(b'"') => string_end(b, i),
+        Some(b'[' | b'{') => {
+            let (mut depth, mut j) = (0usize, i);
+            while j < b.len() {
+                match b[j] {
+                    b'"' => {
+                        j = string_end(b, j)?;
+                        continue;
+                    }
+                    b'[' | b'{' => depth += 1,
+                    b']' | b'}' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Ok(j + 1);
+                        }
+                    }
+                    _ => {}
+                }
+                j += 1;
+            }
+            Err("truncated line")
+        }
+        Some(_) => {
+            let mut j = i;
+            while j < b.len() && !matches!(b[j], b',' | b'}') && !b[j].is_ascii_whitespace() {
+                j += 1;
+            }
+            if j == i {
+                Err("missing value")
+            } else {
+                Ok(j)
+            }
+        }
+    }
 }
 
 /// Energy-component keys in ledger order (see `simkit::EnergyComponent`).
@@ -245,16 +359,16 @@ struct RunAcc {
 }
 
 impl RunAcc {
-    fn new(line: &str, n: usize) -> Result<RunAcc, AuditError> {
+    fn new(f: &Fields<'_>) -> Result<RunAcc, AuditError> {
         Ok(RunAcc {
-            label: str_field(line, n, "label")?.to_string(),
-            disks: u64_field(line, n, "disks")? as u32,
-            inflight: u64_field(line, n, "inflight")? as u32,
-            sample_s: f64_field(line, n, "sample_s")?,
-            bucket_s: f64_field(line, n, "bucket_s")?,
-            goal_s: f64_field(line, n, "goal_s")?,
-            warmup_s: f64_field(line, n, "warmup_s")?,
-            horizon_s: f64_field(line, n, "horizon_s")?,
+            label: f.str_field("label")?.to_string(),
+            disks: f.u64_field("disks")? as u32,
+            inflight: f.u64_field("inflight")? as u32,
+            sample_s: f.f64_field("sample_s")?,
+            bucket_s: f.f64_field("bucket_s")?,
+            goal_s: f.f64_field("goal_s")?,
+            warmup_s: f.f64_field("warmup_s")?,
+            horizon_s: f.f64_field("horizon_s")?,
             events: 1,
             last_t: 0.0,
             order_violation: None,
@@ -601,30 +715,32 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
         .map_err(|e| AuditError::Parse(0, format!("stream is not UTF-8: {e}")))?;
     let mut runs: Vec<RunAudit> = Vec::new();
     let mut acc: Option<RunAcc> = None;
+    let mut f = Fields::default();
 
     for (i, line) in text.lines().enumerate() {
         let n = i + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let ev = str_field(line, n, "ev")?;
+        f.scan(line, n)?;
+        let ev = f.str_field("ev")?;
         if ev == "run_start" {
             if let Some(prev) = acc.take() {
                 runs.push(prev.finish());
             }
-            acc = Some(RunAcc::new(line, n)?);
+            acc = Some(RunAcc::new(&f)?);
             continue;
         }
         let run = acc
             .as_mut()
             .ok_or_else(|| AuditError::Parse(n, format!("{ev:?} before any run_start")))?;
         run.events += 1;
-        let t = f64_field(line, n, "t")?;
+        let t = f.f64_field("t")?;
         run.note_time(t, n);
         match ev {
             "served" => {
-                let disk = u64_field(line, n, "disk")? as u32;
-                let latency_us = f64_field(line, n, "latency_us")?;
+                let disk = f.u64_field("disk")? as u32;
+                let latency_us = f.f64_field("latency_us")?;
                 if let Some(&died) = run.dead.get(&disk) {
                     if t > died + 1e-9 && run.dead_serve_violation.is_none() {
                         run.dead_serve_violation = Some(format!(
@@ -639,14 +755,14 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
                 b.1 += latency_us / 1e6;
             }
             "fault" => {
-                if str_field(line, n, "kind")? == "disk_failure" {
-                    let disk = u64_field(line, n, "disk")? as u32;
+                if f.str_field("kind")? == "disk_failure" {
+                    let disk = f.u64_field("disk")? as u32;
                     run.dead.entry(disk).or_insert(t);
                 }
             }
             "speed" => run.speed_events += 1,
             "mig_start" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 if run.active_jobs.insert(job, n as u64).is_some()
                     && run.mig_shape_violation.is_none()
                 {
@@ -658,7 +774,7 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
                 // window of its last commit. Suspended after a disk failure
                 // (rebuild re-copies are legitimate immediate moves).
                 if run.policy_events > 0 && run.dead.is_empty() && run.grace_violation.is_none() {
-                    let chunk = u64_field(line, n, "chunk")?;
+                    let chunk = f.u64_field("chunk")?;
                     if let Some(&(committed, grace)) = run.chunk_commits.get(&chunk) {
                         if t < committed + grace - 1e-9 {
                             run.grace_violation = Some(format!(
@@ -671,62 +787,65 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
                 }
             }
             "mig_moved" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 run.end_job(job, n, "mig_moved");
                 run.moved += 1;
-                if str_field(line, n, "kind")? != "raw" {
+                if f.str_field("kind")? != "raw" {
                     run.moved_remap += 1;
-                    let chunk = u64_field(line, n, "chunk")?;
+                    let chunk = f.u64_field("chunk")?;
                     run.chunk_commits.insert(chunk, (t, run.policy_grace_s));
                 }
             }
             "mig_abort" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 run.end_job(job, n, "mig_abort");
             }
             "mig_drop" => {
-                let job = u64_field(line, n, "job")?;
+                let job = f.u64_field("job")?;
                 run.end_job(job, n, "mig_drop");
             }
             "power" => {
-                let watts = f64_field(line, n, "watts")?;
+                let watts = f.f64_field("watts")?;
                 run.power_sum_j += watts * run.sample_s;
                 run.power_samples += 1;
                 run.last_power_t = t;
             }
             "disk" => {
                 for (i, name) in COMPONENTS.iter().enumerate() {
-                    run.disk_energy_j[i] += f64_field(line, n, name)?;
+                    run.disk_energy_j[i] += f.f64_field(name)?;
                 }
-                run.disk_transitions += u64_field(line, n, "transitions")?;
+                run.disk_transitions = run
+                    .disk_transitions
+                    .saturating_add(f.u64_field("transitions")?);
                 run.disk_summaries += 1;
             }
             "run_end" => {
                 let mut energy_j = [0.0; 6];
                 for (i, name) in COMPONENTS.iter().enumerate() {
-                    energy_j[i] = f64_field(line, n, name)?;
+                    energy_j[i] = f.f64_field(name)?;
                 }
-                let latency_hist = u64_array(line, n, "latency_hist")?;
-                let latency_hist_total: u64 =
-                    latency_hist.iter().sum::<u64>() + u64_field(line, n, "latency_overflow")?;
+                let latency_hist_total = f
+                    .u64_array("latency_hist")?
+                    .into_iter()
+                    .fold(f.u64_field("latency_overflow")?, u64::saturating_add);
                 run.end = Some(EndTotals {
-                    total_j: f64_field(line, n, "total_j")?,
+                    total_j: f.f64_field("total_j")?,
                     energy_j,
-                    completed: u64_field(line, n, "completed")?,
-                    transitions: u64_field(line, n, "transitions")?,
-                    violation: f64_field(line, n, "violation")?,
+                    completed: f.u64_field("completed")?,
+                    transitions: f.u64_field("transitions")?,
+                    violation: f.f64_field("violation")?,
                     latency_hist_total,
-                    moved: u64_field(line, n, "moved")?,
-                    remap_version: u64_field(line, n, "remap_version")?,
-                    dropped: u64_field(line, n, "dropped")?,
+                    moved: f.u64_field("moved")?,
+                    remap_version: f.u64_field("remap_version")?,
+                    dropped: f.u64_field("dropped")?,
                 });
             }
             "cache_hit" => {
                 // A DRAM-served request: counts toward completions and the
                 // violation refit, but not toward disk-served tallies.
-                let latency_us = f64_field(line, n, "latency_us")?;
+                let latency_us = f.f64_field("latency_us")?;
                 run.cache_hits += 1;
-                match str_field(line, n, "op")? {
+                match f.str_field("op")? {
                     "read" => run.cache_read_hits += 1,
                     "write" => run.cache_write_absorbs += 1,
                     other => {
@@ -741,20 +860,20 @@ pub fn audit_bytes(bytes: &[u8]) -> Result<AuditOutcome, AuditError> {
             "cache_miss" => run.cache_misses += 1,
             "flush" => {
                 run.flushes += 1;
-                run.flushed_chunks += u64_field(line, n, "chunks")?;
+                run.flushed_chunks = run.flushed_chunks.saturating_add(f.u64_field("chunks")?);
             }
             "cache_summary" => {
                 run.cache_sum = Some(CacheTotals {
-                    read_hits: u64_field(line, n, "read_hits")?,
-                    read_misses: u64_field(line, n, "read_misses")?,
-                    write_absorbs: u64_field(line, n, "write_absorbs")?,
-                    flushes: u64_field(line, n, "flushes")?,
-                    flushed_chunks: u64_field(line, n, "flushed_chunks")?,
+                    read_hits: f.u64_field("read_hits")?,
+                    read_misses: f.u64_field("read_misses")?,
+                    write_absorbs: f.u64_field("write_absorbs")?,
+                    flushes: f.u64_field("flushes")?,
+                    flushed_chunks: f.u64_field("flushed_chunks")?,
                 });
             }
             "policy" => {
                 run.policy_events += 1;
-                run.policy_grace_s = f64_field(line, n, "grace_s")?;
+                run.policy_grace_s = f.f64_field("grace_s")?;
             }
             "epoch" | "boost" => {}
             other => {
@@ -819,6 +938,7 @@ pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
     let mut trailer: Option<Trailer> = None;
     let mut after_trailer = false;
 
+    let mut f = Fields::default();
     let close_epoch = |budget: &mut Option<f64>, sum: &mut f64, viol: &mut Option<String>| {
         if let Some(b) = budget.take() {
             if *sum > b * (1.0 + 1e-9) + 1e-6 && viol.is_none() {
@@ -837,8 +957,9 @@ pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
             return Err(AuditError::Parse(n, "events after fleet_end".to_string()));
         }
         events += 1;
-        let ev = str_field(line, n, "ev")?;
-        let t = f64_field(line, n, "t")?;
+        f.scan(line, n)?;
+        let ev = f.str_field("ev")?;
+        let t = f.f64_field("t")?;
         if t < last_t - 1e-9 && order_violation.is_none() {
             order_violation = Some(format!(
                 "line {n}: t={t} after t={last_t} — stream not time-ordered"
@@ -849,23 +970,23 @@ pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
             "fleet_epoch" => {
                 close_epoch(&mut open_budget, &mut grant_sum, &mut grant_violation);
                 epochs += 1;
-                open_budget = opt_f64_field(line, n, "budget_w")?;
+                open_budget = f.opt_f64_field("budget_w")?;
             }
             "cap_grant" => {
-                grant_sum += f64_field(line, n, "cap_w")?;
+                grant_sum += f.f64_field("cap_w")?;
             }
             "tenant_move" => moves += 1,
             "fleet_end" => {
                 close_epoch(&mut open_budget, &mut grant_sum, &mut grant_violation);
                 trailer = Some(Trailer {
-                    total_j: f64_field(line, n, "total_j")?,
-                    budget_j: opt_f64_field(line, n, "budget_j")?,
-                    cap_violation_s: f64_field(line, n, "cap_violation_s")?,
-                    completed: u64_field(line, n, "completed")?,
-                    incomplete: u64_field(line, n, "incomplete")?,
-                    total_requests: u64_field(line, n, "total_requests")?,
-                    routed_requests: u64_field(line, n, "routed_requests")?,
-                    tenant_moves: u64_field(line, n, "tenant_moves")?,
+                    total_j: f.f64_field("total_j")?,
+                    budget_j: f.opt_f64_field("budget_j")?,
+                    cap_violation_s: f.f64_field("cap_violation_s")?,
+                    completed: f.u64_field("completed")?,
+                    incomplete: f.u64_field("incomplete")?,
+                    total_requests: f.u64_field("total_requests")?,
+                    routed_requests: f.u64_field("routed_requests")?,
+                    tenant_moves: f.u64_field("tenant_moves")?,
                 });
                 after_trailer = true;
             }
@@ -943,7 +1064,7 @@ pub fn audit_fleet_bytes(bytes: &[u8]) -> Result<RunAudit, AuditError> {
         });
 
         let routed_ok = end.routed_requests == end.total_requests
-            && end.completed + end.incomplete <= end.routed_requests;
+            && end.completed.saturating_add(end.incomplete) <= end.routed_requests;
         checks.push(Check {
             name: "request-conservation",
             passed: routed_ok,
@@ -1222,6 +1343,139 @@ mod tests {
     fn garbage_is_a_parse_error() {
         assert!(audit_bytes(b"not json\n").is_err());
         assert!(audit_bytes(b"").is_err());
+    }
+
+    fn scan(line: &str) -> Result<Fields<'_>, AuditError> {
+        let mut f = Fields::default();
+        f.scan(line, 7)?;
+        Ok(f)
+    }
+
+    /// The parse error's line number and message, or a panic if `r` is Ok.
+    fn parse_err<T: fmt::Debug>(r: Result<T, AuditError>) -> (usize, String) {
+        match r {
+            Err(AuditError::Parse(n, msg)) => (n, msg),
+            Ok(v) => panic!("expected a parse error, got {v:?}"),
+        }
+    }
+
+    #[test]
+    fn scanner_splits_top_level_fields_only() {
+        let f = scan(r#"{"a":[1,[2,3],{"t":"]"}],"t":2.5, "b" : [] ,"c":{"d":[4]}}"#).unwrap();
+        let keys: Vec<&str> = f.pairs.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, ["a", "t", "b", "c"]);
+        assert_eq!(f.raw("a"), Some(r#"[1,[2,3],{"t":"]"}]"#));
+        assert_eq!(
+            f.f64_field("t").unwrap(),
+            2.5,
+            "nested \"t\" keys are not top-level"
+        );
+        assert_eq!(f.u64_array("b").unwrap(), Vec::<u64>::new());
+        assert_eq!(f.raw("c"), Some(r#"{"d":[4]}"#));
+        assert_eq!(f.raw("d"), None);
+        assert_eq!(scan("{}").unwrap().pairs.len(), 0);
+    }
+
+    #[test]
+    fn scanner_skips_escaped_quotes_and_commas_in_strings() {
+        let f = scan(r#"{"label":"Base/\"q\", \\ \"x\":1}","t":1.5,"ev":"served"}"#).unwrap();
+        assert_eq!(f.str_field("label").unwrap(), r#"Base/\"q\", \\ \"x\":1}"#);
+        assert_eq!(f.f64_field("t").unwrap(), 1.5);
+        assert_eq!(f.str_field("ev").unwrap(), "served");
+        assert_eq!(f.raw("x"), None);
+    }
+
+    #[test]
+    fn null_reads_as_none_only_where_optional() {
+        let f = scan(r#"{"budget_w":null,"demand_w":3.0}"#).unwrap();
+        assert_eq!(f.opt_f64_field("budget_w").unwrap(), None);
+        assert_eq!(f.opt_f64_field("demand_w").unwrap(), Some(3.0));
+        let (n, msg) = parse_err(f.f64_field("budget_w"));
+        assert_eq!(n, 7);
+        assert!(msg.contains("\"budget_w\""), "{msg}");
+        assert!(f.opt_f64_field("cap_w").is_err(), "absent is not null");
+    }
+
+    #[test]
+    fn non_finite_floats_are_typed_errors() {
+        for bad in [
+            "NaN",
+            "nan",
+            "inf",
+            "-inf",
+            "infinity",
+            "+Infinity",
+            "1e999",
+        ] {
+            let line = format!(r#"{{"t":{bad},"budget_w":{bad}}}"#);
+            let f = scan(&line).unwrap();
+            let (n, msg) = parse_err(f.f64_field("t"));
+            assert_eq!(n, 7);
+            assert!(msg.contains("non-finite f64 field \"t\""), "{bad}: {msg}");
+            assert!(f.opt_f64_field("budget_w").is_err(), "{bad}");
+        }
+        assert_eq!(
+            scan(r#"{"t":1.7976931348623157e308}"#)
+                .unwrap()
+                .f64_field("t")
+                .unwrap(),
+            f64::MAX
+        );
+        // A NaN timestamp would otherwise slip through the time-order
+        // check (every comparison with NaN is false).
+        let s = minimal_stream().replace("\"t\":10.0,", "\"t\":NaN,");
+        let (n, msg) = parse_err(audit_bytes(s.as_bytes()));
+        assert_eq!(n, 2);
+        assert!(msg.contains("non-finite"), "{msg}");
+        let s = fleet_stream().replace("\"budget_w\":100.0", "\"budget_w\":inf");
+        assert_eq!(parse_err(audit_fleet_bytes(s.as_bytes())).0, 1);
+    }
+
+    #[test]
+    fn truncated_and_unterminated_lines_fail_with_their_line_number() {
+        let lines: Vec<String> = minimal_stream().lines().map(String::from).collect();
+        let cases = [
+            (1, lines[1][..24].to_string(), "truncated line"),
+            (1, lines[1][..30].to_string(), "unterminated string"),
+            (
+                1,
+                lines[1][..lines[1].len() - 1].to_string(),
+                "truncated line",
+            ),
+            (1, format!("{} junk", lines[1]), "trailing bytes"),
+            (
+                1,
+                lines[1].replace("\"served\"", "\"served"),
+                "expected ',' or '}'",
+            ),
+            (
+                0,
+                lines[0][..lines[0].find("test").unwrap() + 2].to_string(),
+                "unterminated string",
+            ),
+            (
+                0,
+                lines[0].replace("\"test\"", "\"te\\\"}"),
+                "expected ',' or '}'",
+            ),
+            (
+                0,
+                lines[0].replace("\"levels\":6", "\"levels\":"),
+                "missing value",
+            ),
+            (
+                5,
+                "{\"ev\":\"disk\",\"t\":100.0,\"x\":[1,[2]".to_string(),
+                "truncated line",
+            ),
+        ];
+        for (at, bad, want) in cases {
+            let mut broken = lines.clone();
+            broken[at] = bad;
+            let (n, msg) = parse_err(audit_bytes(broken.join("\n").as_bytes()));
+            assert_eq!(n, at + 1, "{msg}");
+            assert!(msg.contains(want), "line {n}: {msg:?} lacks {want:?}");
+        }
     }
 
     /// A two-epoch, two-array fleet stream whose grants, budget, and

@@ -1,12 +1,12 @@
 //! The typed event vocabulary and its JSON-lines serialization.
 //!
 //! Events are write-only records: the simulator constructs them at decision
-//! points and the [`EventSink`](crate::EventSink) serializes them with the
-//! same hand-rolled JSON-lines discipline the workload trace persistence
-//! uses (`{:?}` floats for shortest round-trip, one object per line). The
-//! auditor never reconstructs `Event` values — it scans fields straight out
-//! of the text — so variants can carry `&'static str` tags without an owned
-//! parse-side mirror.
+//! points and the [`EventSink`](crate::EventSink) serializes each one as it
+//! is recorded, with the same hand-rolled JSON-lines discipline the
+//! workload trace persistence uses (`{:?}` floats for shortest round-trip,
+//! one object per line). The auditor never reconstructs `Event` values — it
+//! scans fields straight out of the text — so variants can carry
+//! `&'static str` tags without an owned parse-side mirror.
 
 use simkit::EnergyComponent;
 use std::io::{self, Write};
@@ -794,27 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn run_start_serializes_all_parameters() {
-        let s = line(&Event::RunStart {
-            time_s: 0.0,
-            label: "Base/OLTP".into(),
-            disks: 16,
-            levels: 6,
-            horizon_s: 7200.0,
-            migration_inflight: 2,
-            sample_interval_s: 120.0,
-            series_bucket_s: 120.0,
-            goal_s: 0.0125,
-            warmup_s: 720.0,
-            seed: 42,
-        });
-        assert!(s.starts_with("{\"ev\":\"run_start\","));
-        assert!(s.contains("\"label\":\"Base/OLTP\""));
-        assert!(s.contains("\"goal_s\":0.0125"));
-        assert!(s.ends_with("\"seed\":42}\n"));
-    }
-
-    #[test]
     fn served_round_trips_latency_exactly() {
         let s = line(&Event::RequestServed {
             time_s: 3.25,
@@ -828,98 +807,406 @@ mod tests {
         assert!(s.contains("\"tier\":-1"));
     }
 
-    #[test]
-    fn summary_energy_uses_component_labels() {
-        let s = line(&Event::DiskSummary {
-            time_s: 10.0,
-            disk: 3,
-            energy_j: [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            transitions: 9,
-            failed_at_s: None,
-        });
-        assert!(s.contains("\"idle_spin\":1.0"));
-        assert!(s.contains("\"migration\":6.0"));
-        assert!(s.contains("\"failed_at_s\":null"));
-    }
-
-    #[test]
-    fn cache_events_serialize_stable_kinds() {
-        let hit = line(&Event::CacheHit {
-            time_s: 1.5,
-            latency_us: 200.0,
-            op: CacheOp::Read,
-        });
-        assert!(hit.starts_with("{\"ev\":\"cache_hit\","));
-        assert!(hit.contains("\"op\":\"read\""));
-        let miss = line(&Event::CacheMiss {
-            time_s: 1.5,
-            chunks: 2,
-        });
-        assert!(miss.starts_with("{\"ev\":\"cache_miss\","));
-        let flush = line(&Event::FlushBatch {
-            time_s: 30.0,
-            chunks: 12,
-            disks: 4,
-            forced: false,
-        });
-        assert!(flush.starts_with("{\"ev\":\"flush\","));
-        assert!(flush.contains("\"forced\":false"));
-        let sum = line(&Event::CacheSummary {
-            time_s: 7200.0,
-            read_hits: 10,
-            read_misses: 4,
-            write_absorbs: 6,
-            writebacks: 1,
-            flushes: 3,
-            flushed_chunks: 5,
-        });
-        assert!(sum.starts_with("{\"ev\":\"cache_summary\","));
-        assert!(sum.ends_with("\"flushed_chunks\":5}\n"));
-    }
-
-    // A stream is strictly line-oriented: one object, one trailing newline.
-    #[test]
-    fn every_variant_is_single_line() {
-        let evs = [
-            Event::EpochPlanned {
-                time_s: 1.0,
-                per_level: vec![0, 2, 14],
-                feasible: true,
-                predicted_response_s: 0.005,
-                predicted_power_w: 190.0,
-                migration_jobs: 3,
-                skipped: false,
-                changed: true,
-            },
-            Event::GuardBoost {
-                time_s: 2.0,
-                entered: true,
-                reason: BoostReason::Latency,
-            },
-            Event::PolicyDecision {
-                time_s: 2.5,
-                policy: "lfu",
-                moves: 7,
-                deferred_grace: 2,
-                deferred_inflight: 1,
-                skipped_threshold: 3,
-                grace_s: 300.0,
-                sleepers: 0,
-            },
-            Event::MigrationMoved {
-                time_s: 3.0,
-                job: 1,
-                chunk: 99,
-                src: 0,
-                dst: 5,
-                bytes: 1 << 20,
-                kind: MoveKind::Relocate,
-            },
-        ];
-        for ev in &evs {
-            let s = line(ev);
-            assert_eq!(s.matches('\n').count(), 1);
-            assert!(s.ends_with("}\n"));
+    /// Position of `ev`'s variant in declaration order. The match has no
+    /// wildcard, so a new variant does not compile until it gets an index
+    /// here, and the coverage check below then demands a pinned line.
+    fn variant_index(ev: &Event) -> usize {
+        match ev {
+            Event::RunStart { .. } => 0,
+            Event::EpochPlanned { .. } => 1,
+            Event::PolicyDecision { .. } => 2,
+            Event::SpeedTransition { .. } => 3,
+            Event::MigrationStarted { .. } => 4,
+            Event::MigrationMoved { .. } => 5,
+            Event::MigrationAborted { .. } => 6,
+            Event::MigrationDropped { .. } => 7,
+            Event::GuardBoost { .. } => 8,
+            Event::FaultInjected { .. } => 9,
+            Event::RequestServed { .. } => 10,
+            Event::CacheHit { .. } => 11,
+            Event::CacheMiss { .. } => 12,
+            Event::FlushBatch { .. } => 13,
+            Event::CacheSummary { .. } => 14,
+            Event::PowerSample { .. } => 15,
+            Event::DiskSummary { .. } => 16,
+            Event::RunSummary { .. } => 17,
+            Event::FleetEpoch { .. } => 18,
+            Event::CapGrant { .. } => 19,
+            Event::TenantMove { .. } => 20,
+            Event::FleetSummary { .. } => 21,
         }
+    }
+
+    /// One exact line per variant (plus the enum tags, `STANDBY` tiers,
+    /// `None`/`Some` options, an escaped label, exponent floats and
+    /// `f64::MAX`): the stream format is a contract with the auditor and
+    /// with every committed golden, so any byte change shows up here.
+    #[test]
+    fn every_variant_serializes_to_pinned_bytes() {
+        let energy = [1.0, 2.5, 3.0, 4.0, 5.0, 6.0];
+        let table: Vec<(Event, &str)> = vec![
+            (
+                Event::RunStart {
+                    time_s: 0.0,
+                    label: "Base/\"q\"".into(),
+                    disks: 16,
+                    levels: 6,
+                    horizon_s: 7200.0,
+                    migration_inflight: 2,
+                    sample_interval_s: 120.0,
+                    series_bucket_s: 120.0,
+                    goal_s: f64::MAX,
+                    warmup_s: 720.0,
+                    seed: 42,
+                },
+                r#"{"ev":"run_start","t":0.0,"label":"Base/\"q\"","disks":16,"levels":6,"horizon_s":7200.0,"inflight":2,"sample_s":120.0,"bucket_s":120.0,"goal_s":1.7976931348623157e308,"warmup_s":720.0,"seed":42}"#,
+            ),
+            (
+                Event::EpochPlanned {
+                    time_s: 600.0,
+                    per_level: vec![0, 2, 14],
+                    feasible: true,
+                    predicted_response_s: 1e-7,
+                    predicted_power_w: 190.5,
+                    migration_jobs: 3,
+                    skipped: false,
+                    changed: true,
+                },
+                r#"{"ev":"epoch","t":600.0,"per_level":[0,2,14],"feasible":true,"pred_response_s":1e-7,"pred_power_w":190.5,"jobs":3,"skipped":false,"changed":true}"#,
+            ),
+            (
+                Event::EpochPlanned {
+                    time_s: 1200.0,
+                    per_level: vec![],
+                    feasible: false,
+                    predicted_response_s: f64::MAX,
+                    predicted_power_w: 0.0,
+                    migration_jobs: 0,
+                    skipped: true,
+                    changed: false,
+                },
+                r#"{"ev":"epoch","t":1200.0,"per_level":[],"feasible":false,"pred_response_s":1.7976931348623157e308,"pred_power_w":0.0,"jobs":0,"skipped":true,"changed":false}"#,
+            ),
+            (
+                Event::PolicyDecision {
+                    time_s: 600.0,
+                    policy: "lfu",
+                    moves: 7,
+                    deferred_grace: 2,
+                    deferred_inflight: 1,
+                    skipped_threshold: 3,
+                    grace_s: 300.0,
+                    sleepers: 4,
+                },
+                r#"{"ev":"policy","t":600.0,"policy":"lfu","moves":7,"deferred_grace":2,"deferred_inflight":1,"skipped_threshold":3,"grace_s":300.0,"sleepers":4}"#,
+            ),
+            (
+                Event::SpeedTransition {
+                    time_s: 12.5,
+                    disk: 3,
+                    from: 5,
+                    to: STANDBY,
+                    reason: TransitionReason::Policy,
+                    stretched: false,
+                },
+                r#"{"ev":"speed","t":12.5,"disk":3,"from":5,"to":-1,"reason":"policy","slow":false}"#,
+            ),
+            (
+                Event::SpeedTransition {
+                    time_s: 12.75,
+                    disk: 3,
+                    from: STANDBY,
+                    to: 0,
+                    reason: TransitionReason::DemandWake,
+                    stretched: true,
+                },
+                r#"{"ev":"speed","t":12.75,"disk":3,"from":-1,"to":0,"reason":"demand_wake","slow":true}"#,
+            ),
+            (
+                Event::SpeedTransition {
+                    time_s: 13.0,
+                    disk: 0,
+                    from: 0,
+                    to: 5,
+                    reason: TransitionReason::Latched,
+                    stretched: false,
+                },
+                r#"{"ev":"speed","t":13.0,"disk":0,"from":0,"to":5,"reason":"latched","slow":false}"#,
+            ),
+            (
+                Event::MigrationStarted {
+                    time_s: 13.0,
+                    job: 1,
+                    chunk: 99,
+                    src: 0,
+                    dst: 5,
+                },
+                r#"{"ev":"mig_start","t":13.0,"job":1,"chunk":99,"src":0,"dst":5}"#,
+            ),
+            (
+                Event::MigrationMoved {
+                    time_s: 14.25,
+                    job: 1,
+                    chunk: 99,
+                    src: 0,
+                    dst: 5,
+                    bytes: 1 << 20,
+                    kind: MoveKind::Relocate,
+                },
+                r#"{"ev":"mig_moved","t":14.25,"job":1,"chunk":99,"src":0,"dst":5,"bytes":1048576,"kind":"relocate"}"#,
+            ),
+            (
+                Event::MigrationMoved {
+                    time_s: 14.5,
+                    job: 4,
+                    chunk: 7,
+                    src: 2,
+                    dst: 1,
+                    bytes: 512,
+                    kind: MoveKind::Swap,
+                },
+                r#"{"ev":"mig_moved","t":14.5,"job":4,"chunk":7,"src":2,"dst":1,"bytes":512,"kind":"swap"}"#,
+            ),
+            (
+                Event::MigrationMoved {
+                    time_s: 14.5,
+                    job: 5,
+                    chunk: 8,
+                    src: 2,
+                    dst: 1,
+                    bytes: 0,
+                    kind: MoveKind::Rebuild,
+                },
+                r#"{"ev":"mig_moved","t":14.5,"job":5,"chunk":8,"src":2,"dst":1,"bytes":0,"kind":"rebuild"}"#,
+            ),
+            (
+                Event::MigrationMoved {
+                    time_s: 14.5,
+                    job: u64::MAX,
+                    chunk: 0,
+                    src: 2,
+                    dst: 1,
+                    bytes: 4096,
+                    kind: MoveKind::Raw,
+                },
+                r#"{"ev":"mig_moved","t":14.5,"job":18446744073709551615,"chunk":0,"src":2,"dst":1,"bytes":4096,"kind":"raw"}"#,
+            ),
+            (
+                Event::MigrationAborted {
+                    time_s: 15.0,
+                    job: 2,
+                    chunk: 100,
+                },
+                r#"{"ev":"mig_abort","t":15.0,"job":2,"chunk":100}"#,
+            ),
+            (
+                Event::MigrationDropped {
+                    time_s: 16.0,
+                    job: 3,
+                    chunk: 101,
+                },
+                r#"{"ev":"mig_drop","t":16.0,"job":3,"chunk":101}"#,
+            ),
+            (
+                Event::GuardBoost {
+                    time_s: 17.0,
+                    entered: true,
+                    reason: BoostReason::DiskFailure,
+                },
+                r#"{"ev":"boost","t":17.0,"entered":true,"reason":"disk_failure"}"#,
+            ),
+            (
+                Event::GuardBoost {
+                    time_s: 17.5,
+                    entered: false,
+                    reason: BoostReason::Latency,
+                },
+                r#"{"ev":"boost","t":17.5,"entered":false,"reason":"latency"}"#,
+            ),
+            (
+                Event::FaultInjected {
+                    time_s: 18.0,
+                    disk: 4,
+                    kind: "disk_failure",
+                },
+                r#"{"ev":"fault","t":18.0,"disk":4,"kind":"disk_failure"}"#,
+            ),
+            (
+                Event::RequestServed {
+                    time_s: 3.25,
+                    latency_us: 5123.456789,
+                    disk: 7,
+                    tier: STANDBY,
+                },
+                r#"{"ev":"served","t":3.25,"latency_us":5123.456789,"disk":7,"tier":-1}"#,
+            ),
+            (
+                Event::CacheHit {
+                    time_s: 1.5,
+                    latency_us: 200.0,
+                    op: CacheOp::Write,
+                },
+                r#"{"ev":"cache_hit","t":1.5,"latency_us":200.0,"op":"write"}"#,
+            ),
+            (
+                Event::CacheHit {
+                    time_s: 1.5,
+                    latency_us: 0.1,
+                    op: CacheOp::Read,
+                },
+                r#"{"ev":"cache_hit","t":1.5,"latency_us":0.1,"op":"read"}"#,
+            ),
+            (
+                Event::CacheMiss {
+                    time_s: 1.5,
+                    chunks: 2,
+                },
+                r#"{"ev":"cache_miss","t":1.5,"chunks":2}"#,
+            ),
+            (
+                Event::FlushBatch {
+                    time_s: 30.0,
+                    chunks: 12,
+                    disks: 4,
+                    forced: true,
+                },
+                r#"{"ev":"flush","t":30.0,"chunks":12,"disks":4,"forced":true}"#,
+            ),
+            (
+                Event::CacheSummary {
+                    time_s: 7200.0,
+                    read_hits: 10,
+                    read_misses: 4,
+                    write_absorbs: 6,
+                    writebacks: 1,
+                    flushes: 3,
+                    flushed_chunks: 5,
+                },
+                r#"{"ev":"cache_summary","t":7200.0,"read_hits":10,"read_misses":4,"write_absorbs":6,"writebacks":1,"flushes":3,"flushed_chunks":5}"#,
+            ),
+            (
+                Event::PowerSample {
+                    time_s: 120.0,
+                    watts: 187.25,
+                },
+                r#"{"ev":"power","t":120.0,"watts":187.25}"#,
+            ),
+            (
+                Event::DiskSummary {
+                    time_s: 7200.0,
+                    disk: 3,
+                    energy_j: energy,
+                    transitions: 9,
+                    failed_at_s: None,
+                },
+                r#"{"ev":"disk","t":7200.0,"disk":3,"idle_spin":1.0,"seek":2.5,"transfer":3.0,"transition":4.0,"standby":5.0,"migration":6.0,"transitions":9,"failed_at_s":null}"#,
+            ),
+            (
+                Event::DiskSummary {
+                    time_s: 7200.0,
+                    disk: 4,
+                    energy_j: [0.0; 6],
+                    transitions: 0,
+                    failed_at_s: Some(18.0),
+                },
+                r#"{"ev":"disk","t":7200.0,"disk":4,"idle_spin":0.0,"seek":0.0,"transfer":0.0,"transition":0.0,"standby":0.0,"migration":0.0,"transitions":0,"failed_at_s":18.0}"#,
+            ),
+            (
+                Event::RunSummary {
+                    time_s: 7200.0,
+                    total_j: 21.5,
+                    energy_j: energy,
+                    completed: 100,
+                    incomplete: 2,
+                    transitions: 9,
+                    mean_response_s: 0.0125,
+                    violation: 0.25,
+                    latency_hist: vec![3, 0, 97],
+                    latency_overflow: 1,
+                    queue_hist: vec![],
+                    queue_overflow: 0,
+                    moved: 5,
+                    remap_version: 4,
+                    dropped: 0,
+                },
+                r#"{"ev":"run_end","t":7200.0,"total_j":21.5,"idle_spin":1.0,"seek":2.5,"transfer":3.0,"transition":4.0,"standby":5.0,"migration":6.0,"completed":100,"incomplete":2,"transitions":9,"mean_response_s":0.0125,"violation":0.25,"latency_hist":[3,0,97],"latency_overflow":1,"queue_hist":[],"queue_overflow":0,"moved":5,"remap_version":4,"dropped":0}"#,
+            ),
+            (
+                Event::FleetEpoch {
+                    time_s: 0.0,
+                    epoch: 0,
+                    arrays: 256,
+                    budget_w: None,
+                    demand_w: 0.0,
+                },
+                r#"{"ev":"fleet_epoch","t":0.0,"epoch":0,"arrays":256,"budget_w":null,"demand_w":0.0}"#,
+            ),
+            (
+                Event::FleetEpoch {
+                    time_s: 60.0,
+                    epoch: 1,
+                    arrays: 4,
+                    budget_w: Some(1234.5),
+                    demand_w: 80.0,
+                },
+                r#"{"ev":"fleet_epoch","t":60.0,"epoch":1,"arrays":4,"budget_w":1234.5,"demand_w":80.0}"#,
+            ),
+            (
+                Event::CapGrant {
+                    time_s: 60.0,
+                    array: 7,
+                    cap_w: 62.5,
+                    observed_w: 50.0,
+                },
+                r#"{"ev":"cap_grant","t":60.0,"array":7,"cap_w":62.5,"observed_w":50.0}"#,
+            ),
+            (
+                Event::TenantMove {
+                    time_s: 60.0,
+                    tenant: 3,
+                    from_array: 0,
+                    to_array: 1,
+                },
+                r#"{"ev":"tenant_move","t":60.0,"tenant":3,"from":0,"to":1}"#,
+            ),
+            (
+                Event::FleetSummary {
+                    time_s: 120.0,
+                    total_j: 9000.0,
+                    budget_j: None,
+                    cap_violation_s: 0.0,
+                    completed: 90,
+                    incomplete: 10,
+                    total_requests: 100,
+                    routed_requests: 100,
+                    tenant_moves: 1,
+                },
+                r#"{"ev":"fleet_end","t":120.0,"total_j":9000.0,"budget_j":null,"cap_violation_s":0.0,"completed":90,"incomplete":10,"total_requests":100,"routed_requests":100,"tenant_moves":1}"#,
+            ),
+            (
+                Event::FleetSummary {
+                    time_s: 120.0,
+                    total_j: 13000.0,
+                    budget_j: Some(12000.0),
+                    cap_violation_s: 60.0,
+                    completed: 90,
+                    incomplete: 10,
+                    total_requests: 100,
+                    routed_requests: 100,
+                    tenant_moves: 0,
+                },
+                r#"{"ev":"fleet_end","t":120.0,"total_j":13000.0,"budget_j":12000.0,"cap_violation_s":60.0,"completed":90,"incomplete":10,"total_requests":100,"routed_requests":100,"tenant_moves":0}"#,
+            ),
+        ];
+        let mut seen = [false; 22];
+        for (ev, want) in &table {
+            assert_eq!(line(ev), format!("{want}\n"));
+            seen[variant_index(ev)] = true;
+        }
+        let missing: Vec<usize> = (0..seen.len()).filter(|&i| !seen[i]).collect();
+        assert!(
+            missing.is_empty(),
+            "variants without a pinned line: {missing:?}"
+        );
     }
 }

@@ -13,14 +13,18 @@
 //!   disabled recorder is a single `None`: every emit is one branch and no
 //!   event is ever constructed, so the hot path stays allocation-free when
 //!   telemetry is off.
-//! * [`EventSink`] — a bounded ring buffer with a dropped-event counter;
-//!   streams serialize to JSON-lines with the same hand-rolled shortest
-//!   round-trip float formatting the workload trace persistence uses.
-//! * [`Counters`] and fixed-bucket latency/queue-depth histograms
-//!   (`simkit::FixedHistogram`) updated inline as events are recorded.
-//! * [`audit`] — a replay auditor that re-derives energy totals, power
+//! * [`EventSink`] — a bounded ring of JSON lines with a dropped-line
+//!   counter. Each event is serialized as it is recorded, with the same
+//!   hand-rolled shortest round-trip float formatting the workload trace
+//!   persistence uses, so a run holds its stream as bytes and hands it
+//!   over without a second pass.
+//! * Fixed-bucket latency and queue-depth histograms
+//!   (`simkit::FixedHistogram`), updated inline as events are recorded and
+//!   reported in the run's trailer.
+//! * [`audit`] — a replay auditor that splits each line into its
+//!   top-level fields in one pass, re-derives energy totals, power
 //!   integrals, migration concurrency, dead-disk service, and the
-//!   goal-violation fraction from the raw stream and reconciles them
+//!   goal-violation fraction from the raw stream, and reconciles them
 //!   against the stream's own trailer.
 //!
 //! Determinism: events are recorded by a single simulation thread in
@@ -37,5 +41,5 @@ mod recorder;
 mod sink;
 
 pub use event::{BoostReason, CacheOp, Event, MoveKind, Tier, TransitionReason, STANDBY};
-pub use recorder::{Counters, Recorder, RunStream, TelemetryConfig};
+pub use recorder::{Recorder, RunStream, TelemetryConfig};
 pub use sink::EventSink;

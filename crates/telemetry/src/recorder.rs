@@ -45,41 +45,6 @@ impl TelemetryConfig {
     }
 }
 
-/// Monotonic per-run event counters (single-threaded, so plain integers —
-/// "lock-cheap" is literal here).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Total events recorded (pre-eviction).
-    pub events: u64,
-    /// `RequestServed` events.
-    pub served: u64,
-    /// `SpeedTransition` events.
-    pub transitions: u64,
-    /// `MigrationStarted` events.
-    pub migrations_started: u64,
-    /// `MigrationMoved` events.
-    pub migrations_moved: u64,
-    /// `MigrationAborted` events.
-    pub migrations_aborted: u64,
-    /// `MigrationDropped` events.
-    pub migrations_dropped: u64,
-    /// `GuardBoost` entries (exits not counted).
-    pub boosts: u64,
-    /// `FaultInjected` events.
-    pub faults: u64,
-    /// `EpochPlanned` events.
-    pub epochs: u64,
-    /// `PowerSample` events.
-    pub power_samples: u64,
-    /// `CacheHit` events (DRAM-served requests: read hits + absorbed
-    /// writes).
-    pub cache_hits: u64,
-    /// `CacheMiss` events.
-    pub cache_misses: u64,
-    /// `FlushBatch` events.
-    pub flushes: u64,
-}
-
 /// A serialized per-run stream plus the label it sorts under.
 #[derive(Debug, Clone)]
 pub struct RunStream {
@@ -92,7 +57,6 @@ pub struct RunStream {
 struct Inner {
     cfg: TelemetryConfig,
     sink: EventSink,
-    counters: Counters,
     latency_us: FixedHistogram,
     queue_depth: FixedHistogram,
 }
@@ -141,7 +105,6 @@ impl Recorder {
             inner: Some(Box::new(Inner {
                 cfg,
                 sink: EventSink::new(capacity),
-                counters: Counters::default(),
                 latency_us: FixedHistogram::new(LATENCY_BUCKET_US, LATENCY_BUCKETS),
                 queue_depth: FixedHistogram::new(QUEUE_BUCKET, QUEUE_BUCKETS),
             })),
@@ -184,14 +147,6 @@ impl Recorder {
         }
     }
 
-    /// Counter snapshot (zeros when disabled).
-    pub fn counters(&self) -> Counters {
-        self.inner
-            .as_deref()
-            .map(|i| i.counters)
-            .unwrap_or_default()
-    }
-
     /// The latency histogram, when enabled.
     pub fn latency_hist(&self) -> Option<&FixedHistogram> {
         self.inner.as_deref().map(|i| &i.latency_us)
@@ -207,68 +162,32 @@ impl Recorder {
         self.inner.as_deref().map(|i| i.sink.dropped()).unwrap_or(0)
     }
 
-    /// Serializes the captured stream, consuming the recorder. Returns
+    /// Hands over the captured stream, consuming the recorder. Returns
     /// `None` when disabled.
     pub fn into_stream(self) -> Option<RunStream> {
         let inner = self.inner?;
-        let mut bytes = Vec::with_capacity(inner.sink.len() * 96);
-        inner
-            .sink
-            .write_jsonl(&mut bytes)
-            .expect("serialize to Vec cannot fail");
         Some(RunStream {
             label: inner.cfg.label,
-            bytes,
+            bytes: inner.sink.into_bytes(),
         })
     }
 }
 
 impl Inner {
     fn record(&mut self, ev: Event) {
-        self.counters.events += 1;
-        match &ev {
-            Event::RequestServed { latency_us, .. } => {
-                self.counters.served += 1;
-                self.latency_us.record(*latency_us);
-            }
-            Event::SpeedTransition { .. } => self.counters.transitions += 1,
-            Event::MigrationStarted { .. } => self.counters.migrations_started += 1,
-            Event::MigrationMoved { .. } => self.counters.migrations_moved += 1,
-            Event::MigrationAborted { .. } => self.counters.migrations_aborted += 1,
-            Event::MigrationDropped { .. } => self.counters.migrations_dropped += 1,
-            Event::GuardBoost { entered, .. } => {
-                if *entered {
-                    self.counters.boosts += 1;
-                }
-            }
-            Event::FaultInjected { .. } => self.counters.faults += 1,
-            Event::EpochPlanned { .. } => self.counters.epochs += 1,
-            Event::PowerSample { .. } => self.counters.power_samples += 1,
-            Event::CacheHit { latency_us, .. } => {
-                // A DRAM-served request still counts in the latency
-                // histogram: the run_end hist covers every completion.
-                self.counters.cache_hits += 1;
-                self.latency_us.record(*latency_us);
-            }
-            Event::CacheMiss { .. } => self.counters.cache_misses += 1,
-            Event::FlushBatch { .. } => self.counters.flushes += 1,
-            Event::RunStart { .. }
-            | Event::PolicyDecision { .. }
-            | Event::DiskSummary { .. }
-            | Event::CacheSummary { .. }
-            | Event::RunSummary { .. }
-            | Event::FleetEpoch { .. }
-            | Event::CapGrant { .. }
-            | Event::TenantMove { .. }
-            | Event::FleetSummary { .. } => {}
+        // Every completion — disk-served or a DRAM cache hit — counts in
+        // the latency histogram the run_end trailer reports.
+        if let Event::RequestServed { latency_us, .. } | Event::CacheHit { latency_us, .. } = &ev {
+            self.latency_us.record(*latency_us);
         }
-        self.sink.push(ev);
+        self.sink.push(&ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{audit_bytes, AuditError};
 
     #[test]
     fn disabled_recorder_is_inert() {
@@ -279,7 +198,8 @@ mod tests {
         });
         r.record_queue_depth(3.0);
         assert!(!r.is_enabled());
-        assert_eq!(r.counters(), Counters::default());
+        assert_eq!(r.dropped(), 0);
+        assert!(r.latency_hist().is_none());
         assert!(r.into_stream().is_none());
     }
 
@@ -298,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_histograms_track_events() {
+    fn histograms_track_completions() {
         let mut r = Recorder::new(TelemetryConfig::new("test"));
         r.emit(Event::RequestServed {
             time_s: 1.0,
@@ -306,21 +226,21 @@ mod tests {
             disk: 0,
             tier: 5,
         });
+        r.emit(Event::CacheHit {
+            time_s: 1.5,
+            latency_us: 100.0,
+            op: crate::CacheOp::Read,
+        });
         r.emit(Event::GuardBoost {
             time_s: 2.0,
             entered: true,
             reason: crate::BoostReason::Latency,
         });
-        r.emit(Event::GuardBoost {
-            time_s: 3.0,
-            entered: false,
-            reason: crate::BoostReason::Latency,
-        });
         r.record_queue_depth(2.0);
-        let c = r.counters();
-        assert_eq!((c.events, c.served, c.boosts), (3, 1, 1));
-        assert_eq!(r.latency_hist().unwrap().count(), 1);
-        assert_eq!(r.latency_hist().unwrap().counts()[2], 1); // 4500 us -> bucket 2
+        let lat = r.latency_hist().unwrap();
+        assert_eq!(lat.count(), 2, "disk serves and DRAM hits, not boosts");
+        assert_eq!(lat.counts()[0], 1); // 100 us -> bucket 0
+        assert_eq!(lat.counts()[2], 1); // 4500 us -> bucket 2
         assert_eq!(r.queue_hist().unwrap().counts()[2], 1);
         let stream = r.into_stream().unwrap();
         assert_eq!(stream.label, "test");
@@ -328,5 +248,109 @@ mod tests {
             std::str::from_utf8(&stream.bytes).unwrap().lines().count(),
             3
         );
+    }
+
+    /// A header, `served` completions and a trailer claiming `dropped`.
+    fn run(label: &str, served: u32, dropped: u64) -> Vec<Event> {
+        let mut evs = vec![Event::RunStart {
+            time_s: 0.0,
+            label: label.into(),
+            disks: 1,
+            levels: 2,
+            horizon_s: 10.0,
+            migration_inflight: 1,
+            sample_interval_s: 10.0,
+            series_bucket_s: 10.0,
+            goal_s: f64::MAX,
+            warmup_s: 0.0,
+            seed: 1,
+        }];
+        for i in 0..served {
+            evs.push(Event::RequestServed {
+                time_s: f64::from(i) * 0.01,
+                latency_us: 1000.0 + f64::from(i) / 3.0,
+                disk: 0,
+                tier: 1,
+            });
+        }
+        evs.push(Event::RunSummary {
+            time_s: 10.0,
+            total_j: 0.0,
+            energy_j: [0.0; 6],
+            completed: u64::from(served),
+            incomplete: 0,
+            transitions: 0,
+            mean_response_s: 0.001,
+            violation: 0.0,
+            latency_hist: vec![],
+            latency_overflow: u64::from(served),
+            queue_hist: vec![],
+            queue_overflow: 0,
+            moved: 0,
+            remap_version: 0,
+            dropped,
+        });
+        evs
+    }
+
+    fn capped(capacity: usize) -> Recorder {
+        Recorder::new(TelemetryConfig {
+            capacity,
+            ..TelemetryConfig::new("b")
+        })
+    }
+
+    // Two runs through one ring sized for the second: the first run is
+    // evicted line by line, the survivors are byte-identical to the tail
+    // of an uncapped capture, and the auditor flags the trailer's drop.
+    #[test]
+    fn overflowing_ring_keeps_the_newest_lines_and_reports_the_drop() {
+        let evicted = run("a", 5, 0);
+        let kept = run("b", 40, evicted.len() as u64);
+        let mut small = capped(kept.len());
+        let mut full = Recorder::new(TelemetryConfig::new("b"));
+        for ev in evicted.iter().chain(&kept) {
+            small.emit(ev.clone());
+            full.emit(ev.clone());
+        }
+        assert_eq!(small.dropped(), evicted.len() as u64);
+        assert_eq!(full.dropped(), 0);
+
+        let full = full.into_stream().unwrap().bytes;
+        let tail: String = std::str::from_utf8(&full)
+            .unwrap()
+            .lines()
+            .skip(evicted.len())
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let got = small.into_stream().unwrap().bytes;
+        assert_eq!(std::str::from_utf8(&got).unwrap(), tail);
+
+        let out = audit_bytes(&got).expect("the surviving run parses");
+        assert_eq!(out.runs.len(), 1);
+        let shape = &out.runs[0].checks[0];
+        assert_eq!(shape.name, "stream-shape");
+        assert!(!shape.passed);
+        assert!(shape.detail.contains("events dropped"), "{}", shape.detail);
+    }
+
+    // A single run that overflows loses its header first, and the
+    // auditor rejects the headless stream with a typed, located error.
+    #[test]
+    fn a_run_that_overflows_loses_its_header_first() {
+        let evs = run("b", 20, 1);
+        let mut r = capped(evs.len() - 1);
+        for ev in evs {
+            r.emit(ev);
+        }
+        assert_eq!(r.dropped(), 1);
+        let bytes = r.into_stream().unwrap().bytes;
+        assert!(bytes.starts_with(b"{\"ev\":\"served\""));
+        match audit_bytes(&bytes) {
+            Err(AuditError::Parse(1, msg)) => {
+                assert!(msg.contains("before any run_start"), "{msg}")
+            }
+            other => panic!("expected a line-1 parse error, got {other:?}"),
+        }
     }
 }

@@ -1,73 +1,94 @@
-//! Ring-buffered event storage.
+//! Ring-buffered JSON-lines storage.
 
 use crate::Event;
-use std::collections::VecDeque;
-use std::io::{self, Write};
 
-/// A bounded in-memory event buffer.
+/// A bounded in-memory stream of JSON lines.
 ///
-/// When the buffer is full the *oldest* event is discarded and the dropped
-/// counter bumps; the auditor treats any drop as an incomplete stream (the
-/// header is the first casualty), so capacity should be sized generously
-/// relative to the run — the default in
+/// Events are serialized with [`Event::write_jsonl`] the moment they are
+/// pushed, so the ring holds bytes (typically under 100 per line) rather
+/// than `Event` values, and handing the stream over is a move, not a
+/// second pass.
+///
+/// When the ring already holds `capacity` lines, the *oldest* whole line
+/// is discarded and the dropped counter bumps; the auditor treats any drop
+/// as an incomplete stream (the header is the first casualty), so capacity
+/// should be sized generously relative to the run — the default in
 /// [`TelemetryConfig`](crate::TelemetryConfig) covers a full `--quick`
 /// horizon with room to spare.
 #[derive(Debug)]
 pub struct EventSink {
-    buf: VecDeque<Event>,
+    /// Serialized lines; the live stream is `buf[head..]`.
+    buf: Vec<u8>,
+    /// Byte offset of the oldest retained line.
+    head: usize,
+    /// Lines retained.
+    lines: usize,
     capacity: usize,
     dropped: u64,
 }
 
 impl EventSink {
-    /// Creates a sink holding at most `capacity` events.
+    /// Creates a sink holding at most `capacity` lines.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "EventSink: zero capacity");
         EventSink {
-            buf: VecDeque::new(),
+            buf: Vec::new(),
+            head: 0,
+            lines: 0,
             capacity,
             dropped: 0,
         }
     }
 
-    /// Appends an event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, ev: Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
+    /// Appends an event's line, evicting the oldest line if the ring is
+    /// full.
+    pub fn push(&mut self, ev: &Event) {
+        if self.lines == self.capacity {
+            self.evict_oldest();
         }
-        self.buf.push_back(ev);
+        ev.write_jsonl(&mut self.buf)
+            .expect("write to Vec cannot fail");
+        self.lines += 1;
     }
 
-    /// Events currently buffered.
+    /// Advances the head past the oldest line, compacting the buffer once
+    /// the dead prefix is more than half of it (amortized O(1) per byte).
+    fn evict_oldest(&mut self) {
+        let len = self.buf[self.head..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("every buffered line ends in a newline");
+        self.head += len + 1;
+        self.lines -= 1;
+        self.dropped += 1;
+        if self.head > self.buf.len() / 2 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Lines currently buffered.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.lines
     }
 
-    /// True if no events are buffered.
+    /// True if no lines are buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.lines == 0
     }
 
-    /// Events evicted so far.
+    /// Lines evicted so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Iterates buffered events oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Serializes all buffered events as JSON-lines.
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for ev in &self.buf {
-            ev.write_jsonl(w)?;
-        }
-        Ok(())
+    /// Consumes the sink, returning the buffered lines oldest first.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.drain(..self.head);
+        self.buf
     }
 }
 
@@ -82,27 +103,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let mut s = EventSink::new(2);
-        s.push(power(1.0));
-        s.push(power(2.0));
-        s.push(power(3.0));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.dropped(), 1);
-        let times: Vec<f64> = s.iter().map(Event::time_s).collect();
-        assert_eq!(times, vec![2.0, 3.0]);
+    fn text(s: &EventSink) -> &str {
+        std::str::from_utf8(&s.buf[s.head..]).unwrap()
     }
 
     #[test]
-    fn serializes_in_order() {
-        let mut s = EventSink::new(8);
-        s.push(power(1.0));
-        s.push(power(2.0));
-        let mut buf = Vec::new();
-        s.write_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().next().unwrap().contains("\"t\":1.0"));
+    fn ring_evicts_oldest_and_counts_drops() {
+        let mut s = EventSink::new(2);
+        s.push(&power(1.0));
+        s.push(&power(2.0));
+        s.push(&power(3.0));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.dropped(), 1);
+        assert_eq!(
+            text(&s),
+            "{\"ev\":\"power\",\"t\":2.0,\"watts\":100.0}\n\
+             {\"ev\":\"power\",\"t\":3.0,\"watts\":100.0}\n"
+        );
+    }
+
+    // Lines of different lengths, evicted through many compactions: the
+    // survivors are always the newest `capacity` lines, byte for byte.
+    #[test]
+    fn eviction_keeps_whole_lines_across_compactions() {
+        let mut s = EventSink::new(3);
+        let mut all = Vec::new();
+        for i in 0..50u32 {
+            let ev = Event::CacheMiss {
+                time_s: f64::from(i) * 0.1,
+                chunks: i * 1000,
+            };
+            ev.write_jsonl(&mut all).unwrap();
+            s.push(&ev);
+            let want: Vec<&str> = std::str::from_utf8(&all).unwrap().lines().collect();
+            let keep = want.len().min(3);
+            let got: Vec<&str> = text(&s).lines().collect();
+            assert_eq!(got, want[want.len() - keep..]);
+            assert!(
+                s.head <= s.buf.len() / 2,
+                "compaction keeps the dead prefix bounded"
+            );
+        }
+        assert_eq!((s.len(), s.dropped()), (3, 47));
+        let tail = text(&s).to_string();
+        assert_eq!(s.into_bytes(), tail.into_bytes());
     }
 }
