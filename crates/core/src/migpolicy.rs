@@ -25,6 +25,13 @@
 //! would only be dropped by the engine and inflate its `dropped` counter).
 //! Config values select behaviour; no preset has a code path of its own.
 //!
+//! Whatever a policy ranks, the round never moves a **cold** chunk: one
+//! whose temperature in the host's [`HeatMap`] is exactly zero (never
+//! touched, or decayed to nothing). Copying it costs disk time and energy
+//! and buys nothing, since no request has reached it lately. Cold chunks
+//! still take their slot in the tier packing; they are just left where
+//! they are.
+//!
 //! The first implementor, [`AnalyticPolicy`], is the paper's planner
 //! behind the trait: the host's temperature ranking in, hottest chunks to
 //! the fastest tier out. It is the default [`Hibernator`](crate::Hibernator)
@@ -32,7 +39,7 @@
 
 use crate::allocator::{Allocation, AllocationInput, SpeedAllocator};
 use crate::predictor::ServiceEstimator;
-use array::{ArrayState, ChunkId, MigrationJob};
+use array::{ArrayState, ChunkId, HeatMap, MigrationJob};
 use diskmodel::SpeedLevel;
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -80,11 +87,14 @@ pub struct PolicyObservation<'a> {
     pub now: SimTime,
     /// The array, read-only: remap table, disks, migration engine.
     pub state: &'a ArrayState,
+    /// The host's per-chunk temperatures: the round leaves every chunk
+    /// that is cold here where it is.
+    pub heat: &'a HeatMap,
     /// The host's chunk ranking, hottest first (heat-ordered; shuffled
     /// under the `Random` migration ablation).
     pub ranking: &'a [ChunkId],
-    /// Observed per-chunk request rates aligned with the *heat-ordered*
-    /// ranking (empty when the host has none).
+    /// Observed per-chunk request rates aligned with `ranking`, position
+    /// for position (empty when the host has none).
     pub rates: &'a [f64],
     /// Per-disk target speed level for the adopted epoch plan.
     pub disk_levels: &'a [SpeedLevel],
@@ -180,9 +190,10 @@ impl GraceTracker {
 
     /// One planning round: starts the cooldowns of moves committed since
     /// the last round, asks `policy` for its ranking, and packs it onto
-    /// the epoch's tiers under the policy's grace and thresholds, the
-    /// in-flight dedupe and the host budget. Keep one tracker per host
-    /// across rounds, or committed moves escape their grace period.
+    /// the epoch's tiers under the cold-chunk contract, the policy's grace
+    /// and thresholds, the in-flight dedupe and the host budget. Keep one
+    /// tracker per host across rounds, or committed moves escape their
+    /// grace period.
     pub fn plan_round(
         &mut self,
         policy: &mut dyn MigrationPolicy,
@@ -191,34 +202,25 @@ impl GraceTracker {
         let cfg = *policy.config();
         self.note_commits(obs.now, obs.state, cfg.grace);
         let (ranking, scores) = policy.rank(obs);
-        plan_migrations_filtered(
-            obs.state,
-            ranking,
-            scores,
-            obs.disk_levels,
-            &cfg,
-            obs.budget,
-            self,
-            obs.now,
-        )
+        plan_migrations_filtered(obs, ranking, scores, &cfg, self)
     }
 
-    /// Scans remembered proposals for commits and starts their cooldowns;
-    /// prunes expired cooldowns. Runs once at the top of every round.
+    /// Forgets remembered proposals that have committed, starting their
+    /// cooldowns, and prunes expired cooldowns. Runs once at the top of
+    /// every round.
     fn note_commits(&mut self, now: SimTime, state: &ArrayState, grace: SimDuration) {
-        let committed: Vec<u32> = self
-            .proposals
-            .iter()
-            .filter(|&(&c, &dst)| state.remap.disk_of(ChunkId(c)).index() == dst)
-            .map(|(&c, _)| c)
-            .collect();
-        for c in committed {
-            self.proposals.remove(&c);
-            if grace.as_secs() > 0.0 {
-                self.cooldown_until.insert(c, now + grace);
+        let GraceTracker {
+            proposals,
+            cooldown_until,
+        } = self;
+        proposals.retain(|&c, &mut dst| {
+            let committed = state.remap.disk_of(ChunkId(c)).index() == dst;
+            if committed && grace.as_secs() > 0.0 {
+                cooldown_until.insert(c, now + grace);
             }
-        }
-        self.cooldown_until.retain(|_, &mut until| until > now);
+            !committed
+        });
+        cooldown_until.retain(|_, &mut until| until > now);
     }
 
     /// True while `chunk` is inside its post-commit cooldown.
@@ -239,6 +241,8 @@ impl GraceTracker {
 pub struct PlanOutcome {
     /// The jobs to enqueue.
     pub jobs: Vec<MigrationJob>,
+    /// Movers withheld because the host's heat map says they are cold.
+    pub skipped_cold: u32,
     /// Movers withheld by the grace period.
     pub deferred_grace: u32,
     /// Movers withheld because their previous move is still copying.
@@ -248,33 +252,40 @@ pub struct PlanOutcome {
 }
 
 /// The one planning function behind every round: the paper's chunk
-/// delta extended with the [`MigrationConfig`] filters.
+/// delta extended with the cold-chunk contract and the [`MigrationConfig`]
+/// filters.
 ///
 /// `ranking` is the policy's chunk ordering (best candidate for the
-/// fastest tier first) and `disk_levels` the epoch's per-disk targets
-/// (from [`match_disks`](crate::match_disks)). Chunks are assigned in
-/// ranking order to the fastest tier's alive disks (each taking an equal
-/// share), then the next tier, and so on; a [`MigrationJob::Relocate`] is
-/// proposed for every chunk not already on a disk of its target tier, to
-/// the least-filled disk of that tier, until `budget` jobs are proposed.
+/// fastest tier first; not necessarily `obs.ranking`) and
+/// `obs.disk_levels` the epoch's per-disk targets (from
+/// [`match_disks`](crate::match_disks)). Chunks are assigned in ranking
+/// order to the fastest tier's alive disks (each taking an equal share),
+/// then the next tier, and so on; a [`MigrationJob::Relocate`] is proposed
+/// for every chunk not already on a disk of its target tier, to the
+/// least-filled disk of that tier, until `obs.budget` jobs are proposed.
 ///
-/// Before a move is proposed it must pass, in order: the grace period,
-/// the in-flight check (a chunk whose previous move is still copying is
-/// skipped), and the promote/demote thresholds on `scores`, which is
-/// aligned with `ranking` (pass `&[]` to disable them). With the default
-/// config and nothing in flight this is exactly the paper's unfiltered
-/// planner, which the unit tests keep as an oracle.
-#[allow(clippy::too_many_arguments)] // the plan inputs plus the filter state
+/// Before a move is proposed it must pass, in order: the cold check (a
+/// chunk with zero temperature in `obs.heat` stays put), the grace
+/// period, the in-flight check (a chunk whose previous move is still
+/// copying is skipped), and the promote/demote thresholds on `scores`,
+/// which is aligned with `ranking` (pass `&[]` to disable them). With the
+/// default config, every chunk warm and nothing in flight this is the
+/// paper's unfiltered planner, which the unit tests keep as an oracle.
 fn plan_migrations_filtered(
-    state: &ArrayState,
+    obs: &PolicyObservation<'_>,
     ranking: &[ChunkId],
     scores: &[f64],
-    disk_levels: &[SpeedLevel],
     cfg: &MigrationConfig,
-    budget: usize,
     grace: &mut GraceTracker,
-    now: SimTime,
 ) -> PlanOutcome {
+    let PolicyObservation {
+        now,
+        state,
+        heat,
+        disk_levels,
+        budget,
+        ..
+    } = *obs;
     let mut out = PlanOutcome::default();
     let n = disk_levels.len();
     if n == 0 || ranking.is_empty() || budget == 0 {
@@ -322,6 +333,10 @@ fn plan_migrations_filtered(
             }
         }
         for (c, score) in movers {
+            if heat.temperature(now, c) == 0.0 {
+                out.skipped_cold += 1;
+                continue;
+            }
             if grace.blocked(c, now) {
                 out.deferred_grace += 1;
                 continue;
@@ -412,9 +427,43 @@ mod tests {
         vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)]
     }
 
+    /// A heat map over `chunks` chunks in which exactly `warm` are warm.
+    fn heat_of(chunks: u32, warm: impl IntoIterator<Item = u32>) -> HeatMap {
+        let mut heat = HeatMap::new(chunks, SimDuration::from_secs(60.0));
+        for c in warm {
+            heat.touch(SimTime::ZERO, ChunkId(c));
+        }
+        heat
+    }
+
+    /// A heat map in which every chunk is warm.
+    fn all_warm(state: &ArrayState) -> HeatMap {
+        heat_of(state.remap.chunks(), 0..state.remap.chunks())
+    }
+
+    /// The observation of a round at `now` (host ranking and rates empty:
+    /// the tests pass the policy's ranking to the planner directly).
+    fn obs<'a>(
+        now: SimTime,
+        state: &'a ArrayState,
+        heat: &'a HeatMap,
+        disk_levels: &'a [SpeedLevel],
+        budget: usize,
+    ) -> PolicyObservation<'a> {
+        PolicyObservation {
+            now,
+            state,
+            heat,
+            ranking: &[],
+            rates: &[],
+            disk_levels,
+            budget,
+        }
+    }
+
     /// The paper's unfiltered planner, as it stood before the filters:
     /// the oracle the filtered planner must reproduce when every filter
-    /// is vacuous and nothing is in flight.
+    /// is vacuous, every chunk is warm and nothing is in flight.
     fn plan_migrations(
         state: &ArrayState,
         ranking: &[ChunkId],
@@ -474,22 +523,21 @@ mod tests {
         jobs
     }
 
-    /// One default-config planning round with a fresh grace tracker.
+    /// One default-config planning round with a fresh grace tracker, on
+    /// an all-warm heat map.
     fn plan(
         state: &ArrayState,
         ranking: &[ChunkId],
         disk_levels: &[SpeedLevel],
         budget: usize,
     ) -> PlanOutcome {
+        let heat = all_warm(state);
         plan_migrations_filtered(
-            state,
+            &obs(SimTime::ZERO, state, &heat, disk_levels, budget),
             ranking,
             &[],
-            disk_levels,
             &MigrationConfig::default(),
-            budget,
             &mut GraceTracker::new(),
-            SimTime::ZERO,
         )
     }
 
@@ -502,9 +550,9 @@ mod tests {
             .collect()
     }
 
-    /// With every filter vacuous and nothing in flight, the filtered
-    /// planner reproduces the unfiltered oracle exactly — job for job,
-    /// across budgets.
+    /// With every filter vacuous, every chunk warm and nothing in flight,
+    /// the filtered planner reproduces the unfiltered oracle exactly — job
+    /// for job, across budgets.
     #[test]
     fn vacuous_filters_match_reference_planner() {
         for (chunks, budget) in [(16u32, 100usize), (32, 5), (48, 1), (16, 3)] {
@@ -572,15 +620,14 @@ mod tests {
             ..MigrationConfig::default()
         };
         let mut grace = GraceTracker::new();
+        let heat = all_warm(&state);
+        let levels = split_levels();
         let round1 = plan_migrations_filtered(
-            &state,
+            &obs(SimTime::ZERO, &state, &heat, &levels, 100),
             &ranking,
             &[],
-            &split_levels(),
             &cfg,
-            100,
             &mut grace,
-            SimTime::ZERO,
         );
         let (chunk, dst) = match round1.jobs[0] {
             MigrationJob::Relocate { chunk, dst } => (chunk, dst),
@@ -610,17 +657,11 @@ mod tests {
             demote_threshold: 0.1,
             ..MigrationConfig::default()
         };
-        let mut grace = GraceTracker::new();
-        let out = plan_migrations_filtered(
-            &state,
-            &ranking,
-            &scores,
-            &split_levels(),
-            &cfg,
-            100,
-            &mut grace,
-            SimTime::ZERO,
-        );
+        let heat = all_warm(&state);
+        let levels = split_levels();
+        let round = obs(SimTime::ZERO, &state, &heat, &levels, 100);
+        let out =
+            plan_migrations_filtered(&round, &ranking, &scores, &cfg, &mut GraceTracker::new());
         assert!(
             out.jobs.is_empty(),
             "every move should be gated: {:?}",
@@ -629,14 +670,11 @@ mod tests {
         assert!(out.skipped_threshold > 0);
         // With vacuous thresholds the same round emits jobs.
         let out2 = plan_migrations_filtered(
-            &state,
+            &round,
             &ranking,
             &scores,
-            &split_levels(),
             &MigrationConfig::default(),
-            100,
             &mut GraceTracker::new(),
-            SimTime::ZERO,
         );
         assert!(!out2.jobs.is_empty());
     }
@@ -652,22 +690,58 @@ mod tests {
             .note_disk_failed(SimTime::ZERO, DiskId(0), &lost, &mut remap);
         state.remap = remap;
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
-        let mut grace = GraceTracker::new();
+        let heat = all_warm(&state);
+        let levels = split_levels();
         let out = plan_migrations_filtered(
-            &state,
+            &obs(SimTime::ZERO, &state, &heat, &levels, 100),
             &ranking,
             &[],
-            &split_levels(),
             &MigrationConfig::adaptive(),
-            100,
-            &mut grace,
-            SimTime::ZERO,
+            &mut GraceTracker::new(),
         );
         for j in &out.jobs {
             if let MigrationJob::Relocate { dst, .. } = j {
                 assert_ne!(dst.index(), 0, "dead disk must not receive chunks");
             }
         }
+    }
+
+    /// The cold-chunk contract: a chunk the host's heat map calls cold
+    /// stays on the wrong tier, while a warm one beside it moves. Striped
+    /// over four disks, the fast tier takes ranks 0..8 ({2, 0, 1, 3, 4, 5,
+    /// 6, 7}): warm chunk 2 leaves slow disk 2, cold 3, 6 and 7 stay on
+    /// the slow disks, and cold 8, 9, 12 and 13 stay on the fast ones.
+    #[test]
+    fn cold_chunks_stay_put_while_warm_ones_move() {
+        let state = mk_state(4, 16);
+        let ranking: Vec<ChunkId> = std::iter::once(2)
+            .chain((0..16).filter(|&c| c != 2))
+            .map(ChunkId)
+            .collect();
+        let levels = split_levels();
+        let run = |heat: &HeatMap, now: SimTime| {
+            plan_migrations_filtered(
+                &obs(now, &state, heat, &levels, 100),
+                &ranking,
+                &[],
+                &MigrationConfig::default(),
+                &mut GraceTracker::new(),
+            )
+        };
+        let mut heat = heat_of(16, [2]);
+        let out = run(&heat, SimTime::ZERO);
+        assert_eq!(relocations(&out.jobs), vec![(2, 0)]);
+        assert_eq!(out.skipped_cold, 7);
+
+        // Decayed to nothing counts as cold too: chunk 7 was touched once,
+        // long enough ago that its temperature underflowed to 0.0.
+        heat.touch(SimTime::ZERO, ChunkId(7));
+        let later = SimTime::from_secs(1e6);
+        heat.touch(later, ChunkId(2));
+        assert_eq!(heat.temperature(later, ChunkId(7)), 0.0);
+        let out = run(&heat, later);
+        assert_eq!(relocations(&out.jobs), vec![(2, 0)]);
+        assert_eq!(out.skipped_cold, 7);
     }
 
     #[test]

@@ -564,14 +564,18 @@ impl Hibernator {
         alloc: &Allocation,
         policy: &mut dyn MigrationPolicy,
     ) -> Option<PlanOutcome> {
-        let mut shuffled: Vec<ChunkId>;
-        let order = match self.cfg.migration_mode {
+        let (shuffled, shuffled_rates): (Vec<ChunkId>, Vec<f64>);
+        let (order, order_rates) = match self.cfg.migration_mode {
             MigrationMode::None => return None,
-            MigrationMode::Temperature => ranking,
+            MigrationMode::Temperature => (ranking, rates),
             MigrationMode::Random => {
-                shuffled = ranking.to_vec();
-                self.shuffle_rng.shuffle(&mut shuffled);
-                &shuffled
+                // Shuffle each chunk together with its rate, so a policy's
+                // scores still belong to the chunks they sit beside.
+                let mut pairs: Vec<(ChunkId, f64)> =
+                    ranking.iter().copied().zip(rates.iter().copied()).collect();
+                self.shuffle_rng.shuffle(&mut pairs);
+                (shuffled, shuffled_rates) = pairs.into_iter().unzip();
+                (&shuffled[..], &shuffled_rates[..])
             }
         };
         let targets = match_disks(state, &alloc.per_level);
@@ -580,8 +584,9 @@ impl Hibernator {
             &PolicyObservation {
                 now,
                 state,
+                heat: self.heat.as_ref().expect("init ran"),
                 ranking: order,
-                rates,
+                rates: order_rates,
                 disk_levels: &targets,
                 budget: self.cfg.migration_budget,
             },

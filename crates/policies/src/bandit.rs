@@ -221,7 +221,7 @@ impl MigrationPolicy for BanditPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array::{ArrayConfig, ArrayState, ArrayStats, MigrationEngine, RemapTable};
+    use array::{ArrayConfig, ArrayState, ArrayStats, HeatMap, MigrationEngine, RemapTable};
     use diskmodel::{Disk, SpeedLevel};
     use hibernator::GraceTracker;
     use simkit::{SimDuration, SimTime};
@@ -246,14 +246,25 @@ mod tests {
         }
     }
 
+    /// A host heat map in which every chunk of `state` is warm.
+    fn all_warm(state: &ArrayState) -> HeatMap {
+        let mut heat = HeatMap::new(state.remap.chunks(), SimDuration::from_secs(60.0));
+        for c in 0..state.remap.chunks() {
+            heat.touch(SimTime::ZERO, ChunkId(c));
+        }
+        heat
+    }
+
     fn obs<'a>(
         state: &'a ArrayState,
+        heat: &'a HeatMap,
         targets: &'a [SpeedLevel],
         ranking: &'a [ChunkId],
     ) -> PolicyObservation<'a> {
         PolicyObservation {
             now: SimTime::ZERO,
             state,
+            heat,
             ranking,
             rates: &[],
             disk_levels: targets,
@@ -275,13 +286,14 @@ mod tests {
     #[test]
     fn reward_accounting_follows_the_update_rule() {
         let state = mk_state(4, 16);
+        let heat = all_warm(&state);
         let targets = vec![SpeedLevel(5); 4];
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
         let mut p = greedy();
         for _ in 0..3 {
             p.observe_access(ChunkId(0));
         }
-        let _ = p.rank(&obs(&state, &targets, &ranking));
+        let _ = p.rank(&obs(&state, &heat, &targets, &ranking));
 
         let svc = state.disks[0]
             .service_model()
@@ -297,7 +309,7 @@ mod tests {
         );
 
         // Second round with no accesses: reward is the pure idle penalty.
-        let _ = p.rank(&obs(&state, &targets, &ranking));
+        let _ = p.rank(&obs(&state, &heat, &targets, &ranking));
         let r2 = -(b.power_weight * idle / cpd);
         let expect2 = q1 + b.learning_rate * (r2 - q1);
         let q2 = p.q_value(ChunkId(0), 5).expect("tier visited");
@@ -307,12 +319,13 @@ mod tests {
     #[test]
     fn epsilon_decays_with_rounds() {
         let state = mk_state(4, 16);
+        let heat = all_warm(&state);
         let targets = vec![SpeedLevel(5); 4];
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
         let mut p = BanditPolicy::new();
         let e0 = p.epsilon();
         for _ in 0..20 {
-            let _ = p.rank(&obs(&state, &targets, &ranking));
+            let _ = p.rank(&obs(&state, &heat, &targets, &ranking));
         }
         assert!(p.epsilon() < e0 / 2.0, "{} vs {}", p.epsilon(), e0);
         assert!(p.epsilon() > 0.0);
@@ -324,6 +337,7 @@ mod tests {
     #[test]
     fn fixed_seed_tie_breaking_is_deterministic() {
         let state = mk_state(4, 32);
+        let heat = all_warm(&state);
         let targets = vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)];
         let ranking: Vec<ChunkId> = (0..32).map(ChunkId).collect();
         let mut a = BanditPolicy::new();
@@ -334,8 +348,12 @@ mod tests {
                 a.observe_access(ChunkId(c));
                 b.observe_access(ChunkId(c));
             }
-            let ja = ga.plan_round(&mut a, &obs(&state, &targets, &ranking)).jobs;
-            let jb = gb.plan_round(&mut b, &obs(&state, &targets, &ranking)).jobs;
+            let ja = ga
+                .plan_round(&mut a, &obs(&state, &heat, &targets, &ranking))
+                .jobs;
+            let jb = gb
+                .plan_round(&mut b, &obs(&state, &heat, &targets, &ranking))
+                .jobs;
             assert_eq!(ja, jb, "round {round} diverged");
             assert_eq!(a.preferred, b.preferred);
         }
@@ -347,6 +365,7 @@ mod tests {
     #[test]
     fn converges_on_stationary_workload() {
         let state = mk_state(4, 16);
+        let heat = all_warm(&state);
         // Alternate the plan so every chunk experiences both tiers.
         let split_a = vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)];
         let split_b = vec![SpeedLevel(0), SpeedLevel(0), SpeedLevel(5), SpeedLevel(5)];
@@ -357,7 +376,7 @@ mod tests {
                 p.observe_access(ChunkId(0)); // hot: on disk 0
             }
             let t = if round % 2 == 0 { &split_a } else { &split_b };
-            let _ = p.rank(&obs(&state, t, &ranking));
+            let _ = p.rank(&obs(&state, &heat, t, &ranking));
         }
         let hot = p.preferred_tier(ChunkId(0)).expect("preferred");
         let cold = p.preferred_tier(ChunkId(15)).expect("preferred");

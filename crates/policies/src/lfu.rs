@@ -90,7 +90,9 @@ impl MigrationPolicy for LfuPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use array::{ArrayConfig, ArrayState, ArrayStats, MigrationEngine, MigrationJob, RemapTable};
+    use array::{
+        ArrayConfig, ArrayState, ArrayStats, HeatMap, MigrationEngine, MigrationJob, RemapTable,
+    };
     use diskmodel::{Disk, SpeedLevel};
     use hibernator::GraceTracker;
     use simkit::{SimDuration, SimTime};
@@ -115,16 +117,27 @@ mod tests {
         }
     }
 
+    /// A host heat map in which exactly the chunks of `warm` are warm.
+    fn heat_of(chunks: u32, warm: impl IntoIterator<Item = u32>) -> HeatMap {
+        let mut heat = HeatMap::new(chunks, SimDuration::from_secs(60.0));
+        for c in warm {
+            heat.touch(SimTime::ZERO, ChunkId(c));
+        }
+        heat
+    }
+
     /// One host round with a fresh tracker and a 100-job budget.
     fn round(
         p: &mut LfuPolicy,
         state: &ArrayState,
+        heat: &HeatMap,
         targets: &[SpeedLevel],
         ranking: &[ChunkId],
     ) -> Vec<MigrationJob> {
         let obs = PolicyObservation {
             now: SimTime::ZERO,
             state,
+            heat,
             ranking,
             rates: &[],
             disk_levels: targets,
@@ -144,7 +157,7 @@ mod tests {
         }
         let targets = vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)];
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
-        let jobs = round(&mut p, &state, &targets, &ranking);
+        let jobs = round(&mut p, &state, &heat_of(16, [2, 3]), &targets, &ranking);
         assert_eq!(p.ranking[0], ChunkId(2));
         assert_eq!(p.ranking[1], ChunkId(3));
         let promoted: Vec<u32> = jobs
@@ -164,12 +177,14 @@ mod tests {
     fn unaccessed_chunks_never_promote() {
         let state = mk_state(4, 16);
         let mut p = LfuPolicy::new();
-        // No accesses at all: every candidate promotion is below the
+        // No accesses the policy saw, though the host's heat map calls
+        // every chunk warm: every candidate promotion is below the
         // 1-access threshold, every demotion candidate is below 0.5 so
         // demotions still happen — but nothing may climb.
         let targets = vec![SpeedLevel(5), SpeedLevel(5), SpeedLevel(0), SpeedLevel(0)];
         let ranking: Vec<ChunkId> = (0..16).map(ChunkId).collect();
-        let jobs = round(&mut p, &state, &targets, &ranking);
+        let jobs = round(&mut p, &state, &heat_of(16, 0..16), &targets, &ranking);
+        assert!(!jobs.is_empty(), "warm chunks must still demote");
         for j in &jobs {
             if let MigrationJob::Relocate { chunk, dst } = j {
                 let cur = state.remap.disk_of(*chunk);

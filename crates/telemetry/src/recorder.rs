@@ -22,7 +22,8 @@ pub struct TelemetryConfig {
     /// Warm-up cutoff: series buckets starting before this are excluded
     /// from the violation fraction, mirroring the T4 convention.
     pub warmup_s: f64,
-    /// Ring-buffer capacity in events.
+    /// Ring-buffer capacity in events. A run's `run_start` header is held
+    /// outside the ring once the ring is full, so it is never evicted.
     pub capacity: usize,
 }
 
@@ -57,6 +58,12 @@ pub struct RunStream {
 struct Inner {
     cfg: TelemetryConfig,
     sink: EventSink,
+    /// True while the ring's oldest line is the header of the run being
+    /// recorded: the first event, a `run_start`, with no later one.
+    header_in_ring: bool,
+    /// That header, once a full ring would have evicted it; it goes back
+    /// in front of the stream in [`Recorder::into_stream`].
+    header: Vec<u8>,
     latency_us: FixedHistogram,
     queue_depth: FixedHistogram,
 }
@@ -79,7 +86,7 @@ impl std::fmt::Debug for Recorder {
                 f,
                 "Recorder({:?}, {} events, {} dropped)",
                 i.cfg.label,
-                i.sink.len(),
+                i.sink.len() + usize::from(!i.header.is_empty()),
                 i.sink.dropped()
             ),
         }
@@ -105,6 +112,8 @@ impl Recorder {
             inner: Some(Box::new(Inner {
                 cfg,
                 sink: EventSink::new(capacity),
+                header_in_ring: false,
+                header: Vec::new(),
                 latency_us: FixedHistogram::new(LATENCY_BUCKET_US, LATENCY_BUCKETS),
                 queue_depth: FixedHistogram::new(QUEUE_BUCKET, QUEUE_BUCKETS),
             })),
@@ -157,7 +166,8 @@ impl Recorder {
         self.inner.as_deref().map(|i| &i.queue_depth)
     }
 
-    /// Events evicted from the ring so far (0 when disabled).
+    /// Events evicted from the ring so far (0 when disabled). A held
+    /// header is not counted: it was never lost.
     pub fn dropped(&self) -> u64 {
         self.inner.as_deref().map(|i| i.sink.dropped()).unwrap_or(0)
     }
@@ -166,9 +176,15 @@ impl Recorder {
     /// `None` when disabled.
     pub fn into_stream(self) -> Option<RunStream> {
         let inner = self.inner?;
+        let mut bytes = inner.sink.into_bytes();
+        // Only an overflowed ring held its header out; the common path
+        // hands the buffer over without copying it.
+        if !inner.header.is_empty() {
+            bytes.splice(0..0, inner.header);
+        }
         Some(RunStream {
             label: inner.cfg.label,
-            bytes: inner.sink.into_bytes(),
+            bytes,
         })
     }
 }
@@ -180,6 +196,13 @@ impl Inner {
         if let Event::RequestServed { latency_us, .. } | Event::CacheHit { latency_us, .. } = &ev {
             self.latency_us.record(*latency_us);
         }
+        if let Event::RunStart { .. } = ev {
+            self.header_in_ring = self.sink.is_empty() && self.sink.dropped() == 0;
+        }
+        if self.header_in_ring && self.sink.is_full() {
+            self.header = self.sink.take_oldest();
+            self.header_in_ring = false;
+        }
         self.sink.push(&ev);
     }
 }
@@ -187,7 +210,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::{audit_bytes, AuditError};
+    use crate::audit::audit_bytes;
 
     #[test]
     fn disabled_recorder_is_inert() {
@@ -334,23 +357,35 @@ mod tests {
         assert!(shape.detail.contains("events dropped"), "{}", shape.detail);
     }
 
-    // A single run that overflows loses its header first, and the
-    // auditor rejects the headless stream with a typed, located error.
+    // A single run that overflows keeps its header: the ring evicts the
+    // oldest lines after it, `dropped` counts only those, and the auditor
+    // reads the run and fails it for the drop the trailer reports.
     #[test]
-    fn a_run_that_overflows_loses_its_header_first() {
-        let evs = run("b", 20, 1);
-        let mut r = capped(evs.len() - 1);
+    fn a_run_that_overflows_keeps_its_header_and_reports_the_drop() {
+        let evs = run("b", 20, 3);
+        let mut r = capped(evs.len() - 4);
+        let mut full = Recorder::new(TelemetryConfig::new("b"));
         for ev in evs {
-            r.emit(ev);
+            r.emit(ev.clone());
+            full.emit(ev);
         }
-        assert_eq!(r.dropped(), 1);
+        assert_eq!(r.dropped(), 3, "the header is held, not dropped");
+
+        let full = full.into_stream().unwrap().bytes;
+        let lines: Vec<&str> = std::str::from_utf8(&full).unwrap().lines().collect();
+        let want: String = lines[..1]
+            .iter()
+            .chain(&lines[4..])
+            .map(|l| format!("{l}\n"))
+            .collect();
         let bytes = r.into_stream().unwrap().bytes;
-        assert!(bytes.starts_with(b"{\"ev\":\"served\""));
-        match audit_bytes(&bytes) {
-            Err(AuditError::Parse(1, msg)) => {
-                assert!(msg.contains("before any run_start"), "{msg}")
-            }
-            other => panic!("expected a line-1 parse error, got {other:?}"),
-        }
+        assert_eq!(std::str::from_utf8(&bytes).unwrap(), want);
+
+        let out = audit_bytes(&bytes).expect("the headed run parses");
+        assert_eq!(out.runs.len(), 1);
+        let shape = &out.runs[0].checks[0];
+        assert_eq!(shape.name, "stream-shape");
+        assert!(!shape.passed);
+        assert!(shape.detail.contains("events dropped"), "{}", shape.detail);
     }
 }

@@ -11,10 +11,12 @@ use crate::Event;
 ///
 /// When the ring already holds `capacity` lines, the *oldest* whole line
 /// is discarded and the dropped counter bumps; the auditor treats any drop
-/// as an incomplete stream (the header is the first casualty), so capacity
-/// should be sized generously relative to the run — the default in
+/// as an incomplete stream, so capacity should be sized generously
+/// relative to the run — the default in
 /// [`TelemetryConfig`](crate::TelemetryConfig) covers a full `--quick`
-/// horizon with room to spare.
+/// horizon with room to spare. The [`Recorder`](crate::Recorder) takes a
+/// run's header out with [`EventSink::take_oldest`] before it would be
+/// evicted, so an overflowed stream still says whose run it was.
 #[derive(Debug)]
 pub struct EventSink {
     /// Serialized lines; the live stream is `buf[head..]`.
@@ -46,24 +48,42 @@ impl EventSink {
     /// Appends an event's line, evicting the oldest line if the ring is
     /// full.
     pub fn push(&mut self, ev: &Event) {
-        if self.lines == self.capacity {
-            self.evict_oldest();
+        if self.is_full() {
+            self.remove_oldest();
+            self.dropped += 1;
         }
         ev.write_jsonl(&mut self.buf)
             .expect("write to Vec cannot fail");
         self.lines += 1;
     }
 
-    /// Advances the head past the oldest line, compacting the buffer once
-    /// the dead prefix is more than half of it (amortized O(1) per byte).
-    fn evict_oldest(&mut self) {
-        let len = self.buf[self.head..]
+    /// Removes the oldest line and returns it, newline included, without
+    /// counting it as dropped.
+    ///
+    /// # Panics
+    /// Panics if the sink is empty.
+    pub fn take_oldest(&mut self) -> Vec<u8> {
+        let start = self.head;
+        let end = self.head + self.oldest_len();
+        let line = self.buf[start..end].to_vec();
+        self.remove_oldest();
+        line
+    }
+
+    /// Byte length of the oldest line, newline included.
+    fn oldest_len(&self) -> usize {
+        self.buf[self.head..]
             .iter()
             .position(|&b| b == b'\n')
-            .expect("every buffered line ends in a newline");
-        self.head += len + 1;
+            .expect("every buffered line ends in a newline")
+            + 1
+    }
+
+    /// Advances the head past the oldest line, compacting the buffer once
+    /// the dead prefix is more than half of it (amortized O(1) per byte).
+    fn remove_oldest(&mut self) {
+        self.head += self.oldest_len();
         self.lines -= 1;
-        self.dropped += 1;
         if self.head > self.buf.len() / 2 {
             self.buf.drain(..self.head);
             self.head = 0;
@@ -73,6 +93,11 @@ impl EventSink {
     /// Lines currently buffered.
     pub fn len(&self) -> usize {
         self.lines
+    }
+
+    /// True if the next push evicts a line.
+    pub fn is_full(&self) -> bool {
+        self.lines == self.capacity
     }
 
     /// True if no lines are buffered.

@@ -7,6 +7,9 @@
 //! policy only ranks; the host's [`GraceTracker::plan_round`] (one tracker
 //! per policy, kept across rounds as the host keeps it) makes the moves:
 //!
+//! * a chunk the host's heat map calls cold (never touched, or decayed to
+//!   zero) is never proposed, whatever the policy's ranking or scores
+//!   say, and the round counts each one it withheld;
 //! * a chunk whose move committed is never re-proposed inside `grace`;
 //! * the host's per-round budget caps the proposal;
 //! * dead disks never receive chunks;
@@ -19,13 +22,13 @@
 //! New policies join the battery by adding a factory to [`registry`].
 
 use array::{
-    run_policy, ArrayConfig, ArrayState, ArrayStats, ChunkId, MigrationEngine, MigrationJob,
-    RemapTable, RunOptions,
+    run_policy, ArrayConfig, ArrayState, ArrayStats, ChunkId, HeatMap, MigrationEngine,
+    MigrationJob, RankScratch, RemapTable, RunOptions,
 };
 use diskmodel::{Disk, SpeedLevel};
 use hibernator::{
     AnalyticPolicy, GraceTracker, Hibernator, HibernatorConfig, MigrationConfig, MigrationPolicy,
-    PolicyObservation,
+    PlanOutcome, PolicyObservation,
 };
 use policies::{BanditPolicy, LfuPolicy, SleepScalePolicy};
 use simkit::{SimDuration, SimTime};
@@ -87,6 +90,42 @@ impl MigrationPolicy for Flipper {
     }
 }
 
+/// A policy that ranks the host's ranking backwards, so the chunks the
+/// host calls cold (its ranking's tail) come first and ask for the
+/// fastest tier. Like [`Flipper`] it only ranks; the host's round alone
+/// must keep the cold chunks where they are. It joins the cold-chunk
+/// test only: on the battery's striped fixtures its ranking matches the
+/// layout, so it never moves anything there.
+struct ColdFirst {
+    cfg: MigrationConfig,
+    ranking: Vec<ChunkId>,
+}
+
+impl ColdFirst {
+    fn new() -> ColdFirst {
+        ColdFirst {
+            cfg: MigrationConfig::adaptive(),
+            ranking: Vec::new(),
+        }
+    }
+}
+
+impl MigrationPolicy for ColdFirst {
+    fn name(&self) -> &'static str {
+        "cold-first"
+    }
+
+    fn config(&self) -> &MigrationConfig {
+        &self.cfg
+    }
+
+    fn rank<'a>(&'a mut self, obs: &PolicyObservation<'a>) -> (&'a [ChunkId], &'a [f64]) {
+        self.ranking.clear();
+        self.ranking.extend(obs.ranking.iter().rev());
+        (&self.ranking, &[])
+    }
+}
+
 fn mk_state(disks: usize, chunks: u32) -> ArrayState {
     let mut config = ArrayConfig::default_for_volume(1 << 30);
     config.disks = disks;
@@ -126,6 +165,16 @@ fn ranked(chunks: u32, hot: &[u32]) -> (Vec<ChunkId>, Vec<f64>) {
     (ranking, rates)
 }
 
+/// A host heat map over `chunks` chunks in which every chunk is warm (the
+/// battery's rounds run within a few minutes of it).
+fn all_warm(chunks: u32) -> HeatMap {
+    let mut heat = HeatMap::new(chunks, SimDuration::from_hours(1.0));
+    for c in 0..chunks {
+        heat.touch(SimTime::ZERO, ChunkId(c));
+    }
+    heat
+}
+
 /// Feeds each chunk `weight(c)` accesses so count-based policies (LFU)
 /// and reward-based ones (bandit) have matching internal statistics.
 fn warm(policy: &mut dyn MigrationPolicy, chunks: u32, hot: &[u32]) {
@@ -140,6 +189,7 @@ fn warm(policy: &mut dyn MigrationPolicy, chunks: u32, hot: &[u32]) {
 fn observe<'a>(
     now: SimTime,
     state: &'a ArrayState,
+    heat: &'a HeatMap,
     ranking: &'a [ChunkId],
     rates: &'a [f64],
     levels: &'a [SpeedLevel],
@@ -148,6 +198,7 @@ fn observe<'a>(
     PolicyObservation {
         now,
         state,
+        heat,
         ranking,
         rates,
         disk_levels: levels,
@@ -165,6 +216,7 @@ fn committed_chunks_are_never_reproposed_within_grace() {
             "{name}: battery requires a real grace period"
         );
         let mut state = mk_state(4, 16);
+        let heat = all_warm(16);
         let levels = split_levels();
         // Chunks striped onto the slow disks are hot: the policy should
         // want them on the fast tier.
@@ -179,7 +231,7 @@ fn committed_chunks_are_never_reproposed_within_grace() {
         for round in 0..10u32 {
             when = SimTime::from_secs(f64::from(round) * 10.0);
             warm(p.as_mut(), 16, &hot);
-            let obs = observe(when, &state, &ranking, &rates, &levels, 100);
+            let obs = observe(when, &state, &heat, &ranking, &rates, &levels, 100);
             let jobs = host.plan_round(p.as_mut(), &obs).jobs;
             for j in &jobs {
                 if committed.len() == 2 {
@@ -205,7 +257,7 @@ fn committed_chunks_are_never_reproposed_within_grace() {
         let (ranking2, rates2) = ranked(16, &cold);
         let later = when + SimDuration::from_secs(60.0);
         warm(p.as_mut(), 16, &cold);
-        let obs = observe(later, &state, &ranking2, &rates2, &levels, 100);
+        let obs = observe(later, &state, &heat, &ranking2, &rates2, &levels, 100);
         let round2 = host.plan_round(p.as_mut(), &obs);
         for j in &round2.jobs {
             if let MigrationJob::Relocate { chunk, .. } = j {
@@ -227,11 +279,108 @@ fn committed_chunks_are_never_reproposed_within_grace() {
     }
 }
 
+/// Every move a round considered: made, or withheld by one of its checks.
+fn considered(out: &PlanOutcome) -> usize {
+    out.jobs.len()
+        + (out.skipped_cold + out.deferred_grace + out.deferred_inflight + out.skipped_threshold)
+            as usize
+}
+
+fn moved_chunks(out: &PlanOutcome) -> Vec<ChunkId> {
+    out.jobs
+        .iter()
+        .map(|j| match *j {
+            MigrationJob::Relocate { chunk, .. } => chunk,
+            ref other => panic!("unexpected job {other:?}"),
+        })
+        .collect()
+}
+
+/// The cold-chunk contract, for every policy and [`ColdFirst`]: on a heat
+/// map with warm, never-touched and decayed chunks, no round proposes a
+/// cold chunk, even though every policy's own statistics saw each chunk
+/// accessed.
+/// Beside each policy runs a twin fed the same history but planned on an
+/// all-warm heat map: the two consider the same movers, the policy moves
+/// exactly the twin's warm moves, and `skipped_cold` is the difference.
+#[test]
+fn cold_chunks_are_never_proposed() {
+    let chunks = 32u32;
+    let hot: Vec<u32> = (0..24).filter(|c| c % 4 >= 2).chain([0, 5]).collect();
+    let decayed = [1u32, 4, 9, 13, 30, 31];
+    let now = SimTime::from_secs(1e6);
+    let mut heat = HeatMap::new(chunks, SimDuration::from_secs(60.0));
+    for &c in &decayed {
+        heat.touch(SimTime::ZERO, ChunkId(c));
+    }
+    for (k, &c) in hot.iter().enumerate() {
+        for _ in 0..=k {
+            heat.touch(now, ChunkId(c));
+        }
+    }
+    let is_cold = |c: ChunkId| heat.temperature(now, c) == 0.0;
+    assert!(decayed.iter().all(|&c| is_cold(ChunkId(c))));
+    let mut scratch = RankScratch::new();
+    heat.ranking_into(now, &mut scratch);
+    let cold_total = scratch.ranked().iter().filter(|&&c| is_cold(c)).count();
+    assert_eq!(cold_total, chunks as usize - hot.len());
+
+    let warm_heat = all_warm(chunks);
+    let state = mk_state(4, chunks);
+    let levels = split_levels();
+    let cold_first: PolicyFactory = || Box::new(ColdFirst::new());
+    for (name, mk) in registry().into_iter().chain([("cold-first", cold_first)]) {
+        let (mut p, mut twin) = (mk(), mk());
+        let (mut host, mut twin_host) = (GraceTracker::new(), GraceTracker::new());
+        let mut skipped = 0;
+        for round in 0..6u32 {
+            warm(p.as_mut(), chunks, &hot);
+            warm(twin.as_mut(), chunks, &hot);
+            let at = now + SimDuration::from_secs(f64::from(round));
+            let obs = observe(
+                at,
+                &state,
+                &heat,
+                scratch.ranked(),
+                scratch.rates(),
+                &levels,
+                1000,
+            );
+            let out = host.plan_round(p.as_mut(), &obs);
+            let twin_obs = PolicyObservation {
+                heat: &warm_heat,
+                ..obs
+            };
+            let reference = twin_host.plan_round(twin.as_mut(), &twin_obs);
+
+            let moved = moved_chunks(&out);
+            for &c in &moved {
+                assert!(!is_cold(c), "{name}: round {round} proposed cold {c:?}");
+            }
+            let warm_moves: Vec<ChunkId> = moved_chunks(&reference)
+                .into_iter()
+                .filter(|&c| !is_cold(c))
+                .collect();
+            assert_eq!(moved, warm_moves, "{name}: round {round} warm moves");
+            assert_eq!(
+                considered(&out),
+                considered(&reference),
+                "{name}: round {round} considered different movers"
+            );
+            assert_eq!(reference.skipped_cold, 0);
+            assert!(out.skipped_cold as usize <= cold_total);
+            skipped += out.skipped_cold;
+        }
+        assert!(skipped > 0, "{name}: no cold chunk was ever a mover");
+    }
+}
+
 #[test]
 fn host_budget_caps_every_proposal() {
     for (name, mk) in registry() {
         let mut p = mk();
         let state = mk_state(4, 32);
+        let heat = all_warm(32);
         let levels = split_levels();
         let hot: Vec<u32> = (0..32).filter(|c| c % 4 >= 2).collect();
         let (ranking, rates) = ranked(32, &hot);
@@ -241,6 +390,7 @@ fn host_budget_caps_every_proposal() {
             let obs = observe(
                 SimTime::from_secs(1.0),
                 &state,
+                &heat,
                 &ranking,
                 &rates,
                 &levels,
@@ -267,11 +417,12 @@ fn dead_disks_never_receive_chunks() {
             .migrator
             .note_disk_failed(SimTime::ZERO, array::DiskId(0), &lost, &mut remap);
         state.remap = remap;
+        let heat = all_warm(16);
         let levels = split_levels();
         let hot: Vec<u32> = (0..16).filter(|c| c % 4 >= 2).collect();
         let (ranking, rates) = ranked(16, &hot);
         warm(p.as_mut(), 16, &hot);
-        let obs = observe(SimTime::ZERO, &state, &ranking, &rates, &levels, 100);
+        let obs = observe(SimTime::ZERO, &state, &heat, &ranking, &rates, &levels, 100);
         let jobs = GraceTracker::new().plan_round(p.as_mut(), &obs).jobs;
         for j in &jobs {
             if let MigrationJob::Relocate { dst, .. } = j {
@@ -286,6 +437,7 @@ fn identical_histories_yield_identical_proposals() {
     for (name, mk) in registry() {
         let (mut a, mut b) = (mk(), mk());
         let state = mk_state(4, 24);
+        let heat = all_warm(24);
         let levels = split_levels();
         let hot: Vec<u32> = (0..24).filter(|c| c % 4 >= 2).collect();
         let (ranking, rates) = ranked(24, &hot);
@@ -294,7 +446,7 @@ fn identical_histories_yield_identical_proposals() {
             let now = SimTime::from_secs(f64::from(round) * 120.0);
             warm(a.as_mut(), 24, &hot);
             warm(b.as_mut(), 24, &hot);
-            let obs = observe(now, &state, &ranking, &rates, &levels, 50);
+            let obs = observe(now, &state, &heat, &ranking, &rates, &levels, 50);
             let ja = ga.plan_round(a.as_mut(), &obs).jobs;
             let jb = gb.plan_round(b.as_mut(), &obs).jobs;
             assert_eq!(ja, jb, "{name}: round {round} diverged");
