@@ -15,7 +15,9 @@
 //! Those variants never split the array into tiers, so they never move a
 //! chunk. The `migration/*` rows do: a Hibernator with one copy in flight
 //! and short epochs commits and dirty-aborts jobs, and on RAID-5 loses a
-//! disk while a job is copying.
+//! disk while a job is copying. The `ablation/*` rows make the other two
+//! variants act: random placement commits moves, and the standby extension
+//! sleeps through a dead valley.
 
 mod common;
 mod reference;
@@ -43,6 +45,25 @@ fn migration_rows_commit_abort_and_drop_jobs() {
     assert!(
         String::from_utf8_lossy(&failure.stream).contains("\"ev\":\"mig_drop\""),
         "the disk failure tore down no in-flight job"
+    );
+    reference::assert_rows_match_golden(&runs.into_iter().map(|r| r.row).collect::<Vec<_>>());
+}
+
+/// The `ablation/*` rows pin the two Hibernator ablations where they act:
+/// random placement commits moves, and the standby extension stops
+/// spindles.
+#[test]
+fn ablation_rows_move_data_and_stop_spindles() {
+    let runs = reference::ablation_runs();
+    let random = &runs[0].report;
+    assert!(
+        random.migration.committed > 0,
+        "random placement moved nothing"
+    );
+    let standby = &runs[1].report;
+    assert!(
+        standby.energy.joules(simkit::EnergyComponent::Standby) > 0.0,
+        "the standby extension stopped no spindle"
     );
     reference::assert_rows_match_golden(&runs.into_iter().map(|r| r.row).collect::<Vec<_>>());
 }
