@@ -76,8 +76,12 @@ pub struct MigrationStats {
     pub committed: u64,
     /// Jobs aborted because a foreground write dirtied a chunk mid-copy.
     pub aborted: u64,
-    /// Jobs dropped before starting (queue cleared, or destination full).
+    /// Jobs dropped without running: refused at start (destination full,
+    /// same-disk move, chunk busy) or lost to a failed disk.
     pub dropped: u64,
+    /// Queued jobs a later planning round or a boost replaced before they
+    /// started (see [`MigrationEngine::clear_pending`]).
+    pub superseded: u64,
     /// Raw background writes completed (no remap effect).
     pub raw_writes: u64,
     /// Chunks reconstructed onto a surviving disk after a failure.
@@ -329,10 +333,11 @@ impl MigrationEngine {
         self.rebuild_pending.len() + self.active_rebuilds
     }
 
-    /// Drops all not-yet-started jobs. In-flight jobs run to completion
-    /// (their I/O is already queued at the disks).
+    /// Drops all not-yet-started jobs, counting them as superseded.
+    /// In-flight jobs run to completion (their I/O is already queued at
+    /// the disks).
     pub fn clear_pending(&mut self) {
-        self.stats.dropped += self.pending.len() as u64;
+        self.stats.superseded += self.pending.len() as u64;
         self.pending.clear();
     }
 
@@ -1153,8 +1158,11 @@ mod tests {
         assert!(held > 100 && open > 100, "held {held}, open {open}");
     }
 
+    /// Jobs a new round replaces count as superseded; only a job refused
+    /// at start counts as dropped.
     #[test]
     fn clear_pending_counts_drops() {
+        let mut t = remap(4, 16);
         let mut e = MigrationEngine::new(1);
         e.enqueue([
             MigrationJob::Swap {
@@ -1167,7 +1175,15 @@ mod tests {
             },
         ]);
         e.clear_pending();
-        assert_eq!(e.stats().dropped, 2);
+        assert_eq!((e.stats().superseded, e.stats().dropped), (2, 0));
+        assert!(e.is_quiescent());
+        // Chunk 0 already lives on disk 0.
+        e.enqueue([MigrationJob::Relocate {
+            chunk: ChunkId(0),
+            dst: DiskId(0),
+        }]);
+        assert!(e.pump(SimTime::ZERO, &mut t).is_empty());
+        assert_eq!((e.stats().superseded, e.stats().dropped), (2, 1));
         assert!(e.is_quiescent());
     }
 

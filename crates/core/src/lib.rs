@@ -22,8 +22,10 @@
 //!
 //! [`Hibernator`] composes them behind [`array::PowerPolicy`]; the
 //! [`HibernatorConfig`] defaults follow the design in `DESIGN.md`
-//! (2 h epochs, 5 min guard window). The `without_guard` / `without_migration`
-//! constructors exist for the ablation experiments.
+//! (2 h epochs, 5 min guard window). The ablation experiments take the
+//! same path: `without_guard` and `without_migration` switch a mechanism
+//! off, [`RandomPolicy`] ranks chunks at random, and `with_standby`
+//! lets a cold bottom tier stop spinning.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,8 +41,8 @@ pub use allocator::{Allocation, AllocationInput, SpeedAllocator};
 pub use guard::{GuardAction, GuardConfig, PerfGuard};
 pub use migpolicy::{
     AnalyticPolicy, GraceTracker, MigrationConfig, MigrationPolicy, PlanOutcome, PolicyObservation,
-    SpeedObservation, SpeedPlan,
+    RandomPolicy, SpeedObservation, SpeedPlan,
 };
 pub use planner::match_disks;
-pub use policy::{Hibernator, HibernatorConfig, HibernatorStats, MigrationMode};
+pub use policy::{Hibernator, HibernatorConfig, HibernatorStats};
 pub use predictor::{mg1_response, ServiceEstimator, RHO_SATURATION};

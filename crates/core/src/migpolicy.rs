@@ -36,12 +36,14 @@
 //! behind the trait: the host's temperature ranking in, hottest chunks to
 //! the fastest tier out. It is the default [`Hibernator`](crate::Hibernator)
 //! brain, with the vacuous [`MigrationConfig::default`] filters.
+//! [`RandomPolicy`], the placement ablation, ranks the same chunks in a
+//! random order.
 
 use crate::allocator::{Allocation, AllocationInput, SpeedAllocator};
 use crate::predictor::ServiceEstimator;
 use array::{ArrayState, ChunkId, HeatMap, MigrationJob};
 use diskmodel::SpeedLevel;
-use simkit::{SimDuration, SimTime};
+use simkit::{DetRng, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Shared tunables of every migration policy.
@@ -90,8 +92,7 @@ pub struct PolicyObservation<'a> {
     /// The host's per-chunk temperatures: the round leaves every chunk
     /// that is cold here where it is.
     pub heat: &'a HeatMap,
-    /// The host's chunk ranking, hottest first (heat-ordered; shuffled
-    /// under the `Random` migration ablation).
+    /// The host's chunk ranking, hottest first.
     pub ranking: &'a [ChunkId],
     /// Observed per-chunk request rates aligned with `ranking`, position
     /// for position (empty when the host has none).
@@ -394,6 +395,61 @@ impl MigrationPolicy for AnalyticPolicy {
 
     fn config(&self) -> &MigrationConfig {
         &self.cfg
+    }
+}
+
+/// The placement ablation (F7): the host's chunks in a fresh random
+/// order every round, so data moves but lands without regard to
+/// temperature. Each chunk keeps its rate beside it.
+pub struct RandomPolicy {
+    cfg: MigrationConfig,
+    rng: DetRng,
+    /// Reused per round: the shuffled (chunk, rate) pairs, then each
+    /// column on its own for [`MigrationPolicy::rank`].
+    pairs: Vec<(ChunkId, f64)>,
+    ranking: Vec<ChunkId>,
+    rates: Vec<f64>,
+}
+
+impl RandomPolicy {
+    /// Random placement with the vacuous [`MigrationConfig::default`]
+    /// filters.
+    pub fn new() -> RandomPolicy {
+        RandomPolicy {
+            cfg: MigrationConfig::default(),
+            rng: DetRng::new(0x41B, "hibernator-shuffle"),
+            pairs: Vec::new(),
+            ranking: Vec::new(),
+            rates: Vec::new(),
+        }
+    }
+}
+
+impl Default for RandomPolicy {
+    fn default() -> Self {
+        RandomPolicy::new()
+    }
+}
+
+impl MigrationPolicy for RandomPolicy {
+    fn name(&self) -> &'static str {
+        "random"
+    }
+
+    fn config(&self) -> &MigrationConfig {
+        &self.cfg
+    }
+
+    fn rank<'a>(&'a mut self, obs: &PolicyObservation<'a>) -> (&'a [ChunkId], &'a [f64]) {
+        self.pairs.clear();
+        self.pairs
+            .extend(obs.ranking.iter().copied().zip(obs.rates.iter().copied()));
+        self.rng.shuffle(&mut self.pairs);
+        self.ranking.clear();
+        self.ranking.extend(self.pairs.iter().map(|&(c, _)| c));
+        self.rates.clear();
+        self.rates.extend(self.pairs.iter().map(|&(_, r)| r));
+        (&self.ranking, &self.rates)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! [`Disk`] is an event-driven object. The simulation driver (the `array`
 //! crate) owns the global event queue; the disk exposes
-//! [`Disk::next_event_time`] and expects [`Disk::on_event`] to be called
+//! [`Disk::next_event_time`] and expects [`Disk::poll_event`] to be called
 //! exactly at that time. Between events the disk's state is piecewise
 //! constant, which lets [`Disk::accrue`] attribute energy exactly.
 //!
@@ -109,9 +109,8 @@ pub struct DiskStats {
 /// });
 /// // Drive the disk's event loop to completion.
 /// let t = disk.next_event_time().expect("service scheduled");
-/// let done = disk.on_event(t);
-/// assert_eq!(done.len(), 1);
-/// assert!(done[0].service_s > 0.0 && done[0].service_s < 0.05);
+/// let done = disk.poll_event(t).expect("the request completes");
+/// assert!(done.service_s > 0.0 && done.service_s < 0.05);
 /// ```
 pub struct Disk {
     id: usize,
@@ -369,7 +368,7 @@ impl Disk {
         dropped
     }
 
-    /// The next instant this disk needs [`Disk::on_event`] called, if any.
+    /// The next instant this disk needs [`Disk::poll_event`] called, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
         if self.failed {
             return None;
@@ -574,18 +573,9 @@ impl Disk {
     }
 
     /// Handles the event due at `now` (service completion and/or ramp end)
-    /// and returns any completed requests. The driver must call this exactly
-    /// at [`Disk::next_event_time`].
-    ///
-    /// Convenience wrapper over [`Disk::poll_event`]; the hot simulation
-    /// driver calls `poll_event` directly to avoid allocating a `Vec` per
-    /// disk event.
-    pub fn on_event(&mut self, now: SimTime) -> Vec<Completion> {
-        self.poll_event(now).into_iter().collect()
-    }
-
-    /// Allocation-free form of [`Disk::on_event`]. A single head means at
-    /// most one request finishes per event, so `Option` captures the full
+    /// and returns the completed request, if any. The driver must call this
+    /// exactly at [`Disk::next_event_time`]. A single head means at most
+    /// one request finishes per event, so `Option` captures the full
     /// result.
     pub fn poll_event(&mut self, now: SimTime) -> Option<Completion> {
         self.accrue(now);
@@ -693,7 +683,7 @@ impl Disk {
             (SpinState::Transitioning { .. }, _) => {
                 // Back-to-back ramps happen at a ramp-end boundary; model the
                 // second ramp from the first ramp's endpoint state, which
-                // `on_event` has already committed before calling us.
+                // `poll_event` has already committed before calling us.
                 unreachable!("begin_transition called mid-transition")
             }
         };
@@ -806,7 +796,7 @@ mod tests {
             if t > until {
                 break;
             }
-            done.extend(disk.on_event(t));
+            done.extend(disk.poll_event(t));
         }
         done
     }

@@ -61,7 +61,7 @@ fn run_ops(ops: &[Op]) -> (u64, u64, f64) {
             if t > upto {
                 break;
             }
-            done += disk.on_event(t).len() as u64;
+            done += u64::from(disk.poll_event(t).is_some());
         }
         done
     };
@@ -105,7 +105,7 @@ fn run_ops(ops: &[Op]) -> (u64, u64, f64) {
     let deadline = now + simkit::SimDuration::from_hours(2.0);
     while let Some(t) = disk.next_event_time() {
         assert!(t <= deadline, "disk wedged: event at {t} beyond deadline");
-        completed += disk.on_event(t).len() as u64;
+        completed += u64::from(disk.poll_event(t).is_some());
     }
     (submitted, completed, disk.energy(deadline).total_joules())
 }

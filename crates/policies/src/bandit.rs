@@ -1,4 +1,4 @@
-//! Epsilon-greedy / UCB bandit tier classifier: learns per-chunk tier
+//! Epsilon-greedy bandit tier classifier: learns per-chunk tier
 //! placement online instead of deriving it from a queueing model.
 //!
 //! Each chunk keeps a per-tier action value `q[chunk][tier]`, updated at
@@ -6,19 +6,19 @@
 //! actually sat on:
 //!
 //! ```text
-//! reward = −(latency_weight · accesses · service_s(tier)
-//!            + power_weight · idle_w(tier) / chunks_per_disk)
-//! q += learning_rate · (reward − q)
+//! reward = −(LATENCY_WEIGHT · accesses · service_s(tier)
+//!            + POWER_WEIGHT · idle_w(tier) / chunks_per_disk)
+//! q += LEARNING_RATE · (reward − q)
 //! ```
 //!
 //! so a hot chunk on a slow tier earns a large latency penalty (learn:
 //! promote) while a cold chunk on a fast tier pays the tier's idle power
 //! for nothing (learn: demote). Tier preference is the argmax over
-//! *visited* tiers — optionally with a UCB exploration bonus — except
-//! with probability ε (decaying per round) a uniformly random tier is
-//! preferred instead. The preference only orders the chunk ranking; the
-//! host's planning round maps rank positions onto the epoch's actual
-//! tiers, enforcing grace, dedupe, and budget as for every other policy.
+//! *visited* tiers, except with probability ε (decaying per round) a
+//! uniformly random tier is preferred instead. The preference only orders
+//! the chunk ranking; the host's planning round maps rank positions onto
+//! the epoch's actual tiers, enforcing grace, dedupe, and budget as for
+//! every other policy.
 
 use array::ChunkId;
 use hibernator::{MigrationConfig, MigrationPolicy, PolicyObservation};
@@ -28,48 +28,29 @@ use std::collections::BTreeMap;
 /// Sectors per probe I/O used to price a tier's service time.
 const PROBE_SECTORS: u32 = 16;
 
-/// Bandit learner tunables.
-#[derive(Debug, Clone)]
-pub struct BanditConfig {
-    /// Initial exploration probability.
-    pub epsilon0: f64,
-    /// Rounds over which ε decays: `ε = ε₀ / (1 + rounds / decay)`.
-    pub epsilon_decay: f64,
-    /// Q-value step size α in `q += α (reward − q)`.
-    pub learning_rate: f64,
-    /// Weight of the latency term (per access-second of service time).
-    pub latency_weight: f64,
-    /// Weight of the idle-power term (per watt amortized over a disk's
-    /// chunk share).
-    pub power_weight: f64,
-    /// UCB exploration bonus weight (0 = pure ε-greedy).
-    pub ucb_weight: f64,
-    /// Seed for the exploration RNG.
-    pub seed: u64,
-}
+/// Rounds over which ε decays: `ε = ε₀ / (1 + rounds / EPSILON_DECAY)`.
+const EPSILON_DECAY: f64 = 10.0;
 
-impl Default for BanditConfig {
-    fn default() -> Self {
-        BanditConfig {
-            epsilon0: 0.2,
-            epsilon_decay: 10.0,
-            learning_rate: 0.3,
-            latency_weight: 100.0,
-            power_weight: 1.0,
-            ucb_weight: 0.0,
-            seed: 0xBA4D17,
-        }
-    }
-}
+/// Q-value step size α in `q += α (reward − q)`.
+const LEARNING_RATE: f64 = 0.3;
+
+/// Weight of the latency term (per access-second of service time).
+const LATENCY_WEIGHT: f64 = 100.0;
+
+/// Weight of the idle-power term (per watt amortized over a disk's chunk
+/// share).
+const POWER_WEIGHT: f64 = 1.0;
+
+/// Seed for the exploration RNG.
+const SEED: u64 = 0xBA4D17;
 
 /// The bandit tier classifier (see module docs).
 pub struct BanditPolicy {
     cfg: MigrationConfig,
-    bcfg: BanditConfig,
+    /// Initial exploration probability ε₀.
+    epsilon0: f64,
     /// chunk -> per-tier action value; NaN marks a never-visited tier.
     q: BTreeMap<u32, Vec<f64>>,
-    /// chunk -> per-tier visit count (feeds the UCB bonus).
-    visits: BTreeMap<u32, Vec<u64>>,
     /// chunk -> accesses since the last planning round.
     counts: BTreeMap<u32, f64>,
     /// chunk -> tier preferred at the last round.
@@ -81,31 +62,30 @@ pub struct BanditPolicy {
 }
 
 impl BanditPolicy {
-    /// Bandit with default learner tunables and the shared adaptive
-    /// migration config.
+    /// Bandit exploring with ε₀ = 0.2 under the shared adaptive migration
+    /// config.
     pub fn new() -> BanditPolicy {
-        BanditPolicy::with_configs(MigrationConfig::adaptive(), BanditConfig::default())
+        BanditPolicy::with_epsilon0(0.2)
     }
 
-    /// Bandit with explicit configs.
-    pub fn with_configs(cfg: MigrationConfig, bcfg: BanditConfig) -> BanditPolicy {
-        let rng = DetRng::new(bcfg.seed, "bandit-explore");
+    /// Bandit whose exploration probability starts at `epsilon0` (0 makes
+    /// it purely greedy).
+    pub fn with_epsilon0(epsilon0: f64) -> BanditPolicy {
         BanditPolicy {
-            cfg,
-            bcfg,
+            cfg: MigrationConfig::adaptive(),
+            epsilon0,
             q: BTreeMap::new(),
-            visits: BTreeMap::new(),
             counts: BTreeMap::new(),
             preferred: BTreeMap::new(),
             ranking: Vec::new(),
             rounds: 0,
-            rng,
+            rng: DetRng::new(SEED, "bandit-explore"),
         }
     }
 
     /// Current exploration probability.
     pub fn epsilon(&self) -> f64 {
-        self.bcfg.epsilon0 / (1.0 + self.rounds as f64 / self.bcfg.epsilon_decay)
+        self.epsilon0 / (1.0 + self.rounds as f64 / EPSILON_DECAY)
     }
 
     /// The tier preferred for `chunk` at the last planning round.
@@ -122,26 +102,18 @@ impl BanditPolicy {
             .filter(|q| !q.is_nan())
     }
 
-    /// Argmax over visited tiers plus optional UCB bonus; ties break to
-    /// the highest tier (deterministic). `None` when nothing was visited.
+    /// Argmax over visited tiers; ties break to the highest tier
+    /// (deterministic). `None` when nothing was visited.
     fn exploit(&self, chunk: u32) -> Option<usize> {
         let q = self.q.get(&chunk)?;
-        let visits = self.visits.get(&chunk)?;
         let mut best: Option<(usize, f64)> = None;
         for (tier, &val) in q.iter().enumerate() {
             if val.is_nan() {
                 continue;
             }
-            let bonus = if self.bcfg.ucb_weight > 0.0 && visits[tier] > 0 {
-                self.bcfg.ucb_weight
-                    * ((1.0 + self.rounds as f64).ln() / visits[tier] as f64).sqrt()
-            } else {
-                0.0
-            };
-            let score = val + bonus;
             match best {
-                Some((_, b)) if score < b => {}
-                _ => best = Some((tier, score)),
+                Some((_, b)) if val < b => {}
+                _ => best = Some((tier, val)),
             }
         }
         best.map(|(t, _)| t)
@@ -186,15 +158,13 @@ impl MigrationPolicy for BanditPolicy {
             let svc =
                 svc_model.expected_random_service_s(diskmodel::SpeedLevel(tier), PROBE_SECTORS);
             let idle = power_model.idle_w(diskmodel::SpeedLevel(tier));
-            let reward =
-                -(self.bcfg.latency_weight * rate * svc + self.bcfg.power_weight * idle / cpd);
+            let reward = -(LATENCY_WEIGHT * rate * svc + POWER_WEIGHT * idle / cpd);
             let q = self.q.entry(c).or_insert_with(|| vec![f64::NAN; levels]);
             if q[tier].is_nan() {
                 q[tier] = reward;
             } else {
-                q[tier] += self.bcfg.learning_rate * (reward - q[tier]);
+                q[tier] += LEARNING_RATE * (reward - q[tier]);
             }
-            self.visits.entry(c).or_insert_with(|| vec![0; levels])[tier] += 1;
 
             // 2. Prefer a tier: explore with probability ε, else exploit.
             let preferred = if eps > 0.0 && self.rng.chance(eps) {
@@ -274,11 +244,7 @@ mod tests {
 
     fn greedy() -> BanditPolicy {
         // Exploitation only: deterministic learning path.
-        let b = BanditConfig {
-            epsilon0: 0.0,
-            ..BanditConfig::default()
-        };
-        BanditPolicy::with_configs(MigrationConfig::adaptive(), b)
+        BanditPolicy::with_epsilon0(0.0)
     }
 
     /// First visit seeds q with the raw reward; later visits blend with
@@ -300,8 +266,7 @@ mod tests {
             .expected_random_service_s(SpeedLevel(5), PROBE_SECTORS);
         let idle = state.disks[0].power_model().idle_w(SpeedLevel(5));
         let cpd = 16.0 / 4.0;
-        let b = BanditConfig::default();
-        let expect = -(b.latency_weight * 3.0 * svc + b.power_weight * idle / cpd);
+        let expect = -(LATENCY_WEIGHT * 3.0 * svc + POWER_WEIGHT * idle / cpd);
         let q1 = p.q_value(ChunkId(0), 5).expect("tier visited");
         assert!(
             (q1 - expect).abs() < 1e-12,
@@ -310,8 +275,8 @@ mod tests {
 
         // Second round with no accesses: reward is the pure idle penalty.
         let _ = p.rank(&obs(&state, &heat, &targets, &ranking));
-        let r2 = -(b.power_weight * idle / cpd);
-        let expect2 = q1 + b.learning_rate * (r2 - q1);
+        let r2 = -(POWER_WEIGHT * idle / cpd);
+        let expect2 = q1 + LEARNING_RATE * (r2 - q1);
         let q2 = p.q_value(ChunkId(0), 5).expect("tier visited");
         assert!((q2 - expect2).abs() < 1e-12, "blend: {q2} vs {expect2}");
     }

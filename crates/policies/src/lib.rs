@@ -22,7 +22,7 @@
 //! thresholds and budget hold for all of them alike:
 //!
 //! * [`LfuPolicy`] — LFU promote/demote on decayed access counters;
-//! * [`BanditPolicy`] — an ε-greedy/UCB learner that classifies each
+//! * [`BanditPolicy`] — an ε-greedy learner that classifies each
 //!   chunk's tier online from observed rewards;
 //! * [`SleepScalePolicy`] — a SleepScale-style joint optimizer co-selecting
 //!   disk speed *and* sleep state per epoch (Liu et al., ISCA 2014).
@@ -43,7 +43,7 @@ mod pdc;
 mod sleepscale;
 mod tpm;
 
-pub use bandit::{BanditConfig, BanditPolicy};
+pub use bandit::BanditPolicy;
 pub use drpm::{DrpmConfig, DrpmPolicy};
 pub use fixed::FixedSpeed;
 pub use lfu::LfuPolicy;

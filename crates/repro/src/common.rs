@@ -26,7 +26,7 @@
 
 use array::{run_policy_streamed, ArrayConfig, Redundancy, RunOptions, RunReport};
 use diskmodel::{DiskSpec, SpeedLevel};
-use hibernator::{Hibernator, HibernatorConfig, MigrationMode};
+use hibernator::{Hibernator, HibernatorConfig, RandomPolicy};
 use parallel::{OnceMap, Pool};
 use policies::{
     maid_array_config, BanditPolicy, DrpmPolicy, FixedSpeed, LfuPolicy, MaidConfig, MaidPolicy,
@@ -80,7 +80,7 @@ pub enum PolicyKind {
     HibernatorNoGuard,
     /// Hibernator with the LFU promote/demote migration policy.
     HibernatorLfu,
-    /// Hibernator with the ε-greedy/UCB bandit tier classifier.
+    /// Hibernator with the ε-greedy bandit tier classifier.
     HibernatorBandit,
     /// Hibernator with the SleepScale-style joint speed+sleep optimizer.
     SleepScale,
@@ -520,9 +520,13 @@ impl Ctx {
                 )
             }
             PolicyKind::HibernatorRandMig => {
-                let mut cfg = self.hibernator_config(goal_s);
-                cfg.migration_mode = MigrationMode::Random;
-                run_policy_streamed(config, Hibernator::new(cfg), source, opts)
+                let cfg = self.hibernator_config(goal_s);
+                run_policy_streamed(
+                    config,
+                    Hibernator::with_policy(cfg, Box::new(RandomPolicy::new())),
+                    source,
+                    opts,
+                )
             }
             PolicyKind::HibernatorNoGuard => {
                 let cfg = self.hibernator_config(goal_s);

@@ -486,12 +486,11 @@ pub fn f11(ctx: &Ctx) {
     let trace = ctx.trace(Workload::Cello);
     let mut rows = Vec::new();
     let plain = ctx.report(PolicyKind::Hibernator, Workload::Cello);
-    let mut cfg = ctx.hibernator_config(goal);
-    cfg.allow_standby = true;
+    let cfg = ctx.hibernator_config(goal);
     let standby = ctx.timed("f11 Hib+standby/Cello", || {
         array::run_policy(
             ctx.array_config(Workload::Cello),
-            Hibernator::new(cfg),
+            Hibernator::new(cfg).with_standby(),
             &trace,
             ctx.run_options(),
         )
