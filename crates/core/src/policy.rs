@@ -434,11 +434,6 @@ impl Hibernator {
         // The round's accounting (moves, deferrals, grace in force) goes
         // into the stream, where the `migration-grace` audit replays it.
         if let Some(out) = round {
-            let parked = if policy_sleep {
-                self.standby_disks.len() as u32
-            } else {
-                0
-            };
             state
                 .telemetry
                 .emit_with(|| telemetry::Event::PolicyDecision {
@@ -449,7 +444,7 @@ impl Hibernator {
                     deferred_inflight: out.deferred_inflight,
                     skipped_threshold: out.skipped_threshold,
                     grace_s: policy.config().grace.as_secs(),
-                    sleepers: plan_sleepers.max(parked),
+                    sleepers: plan_sleepers.max(self.standby_disks.len() as u32),
                 });
         }
         self.current = Some(adopted);

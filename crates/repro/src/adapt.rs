@@ -58,19 +58,10 @@ pub fn adapt(ctx: &Ctx) {
 
     // Stage 1: one unmanaged Base run over the flipped trace calibrates
     // the response-time goal the contenders must re-attain.
-    let base = ctx.timed(&label(PolicyKind::Base), || {
-        let name = label(PolicyKind::Base);
-        let mut opts = ctx.run_options();
-        opts.telemetry = ctx.telemetry_config(&name, f64::MAX, ctx.warmup_s());
-        let mut r = ctx.run_kind(
-            PolicyKind::Base,
-            config.clone(),
-            sc.apply(&spec, ctx.seed),
-            opts,
-            f64::MAX,
-        );
-        ctx.collect_stream(r.telemetry.take());
-        r
+    let name = label(PolicyKind::Base);
+    let base = ctx.run(&name, f64::MAX, ctx.warmup_s(), ctx.run_options(), |o| {
+        let source = sc.apply(&spec, ctx.seed);
+        ctx.run_kind(PolicyKind::Base, config.clone(), source, o, f64::MAX)
     });
     let goal = base.response.mean() * ctx.goal_factor();
 
@@ -82,13 +73,8 @@ pub fn adapt(ctx: &Ctx) {
                 let (spec, config, sc) = (&spec, &config, &sc);
                 move || {
                     let name = label(p);
-                    ctx.timed(&name, || {
-                        let mut opts = ctx.run_options();
-                        opts.telemetry = ctx.telemetry_config(&name, goal, ctx.warmup_s());
-                        let mut r =
-                            ctx.run_kind(p, config.clone(), sc.apply(spec, ctx.seed), opts, goal);
-                        ctx.collect_stream(r.telemetry.take());
-                        r
+                    ctx.run(&name, goal, ctx.warmup_s(), ctx.run_options(), |o| {
+                        ctx.run_kind(p, config.clone(), sc.apply(spec, ctx.seed), o, goal)
                     })
                 }
             })

@@ -10,9 +10,8 @@
 //! standby at once.
 
 use crate::common::{row, violation_fraction, Ctx, PolicyKind, Workload};
-use array::{RunReport, Simulation};
-use hibernator::Hibernator;
-use workload::TraceStats;
+use array::RunReport;
+use workload::{TraceCursor, TraceStats};
 
 /// The swept grid: the cache-off anchor plus capacity × flush interval.
 /// Chunks are 1 MiB at the standard scale, so the capacities are 1, 4,
@@ -60,20 +59,15 @@ pub fn cachesweep(ctx: &Ctx) {
                 let (config, trace) = (&config, &trace);
                 move || {
                     let name = label(cap, interval);
-                    ctx.timed(&name, || {
-                        let mut opts = ctx.run_options();
-                        if cap > 0 {
-                            let mut c = cache::CacheConfig::with_capacity(cap);
-                            c.flush_interval_s = interval;
-                            opts.cache = Some(c);
-                        }
-                        opts.telemetry = ctx.telemetry_config(&name, goal, ctx.warmup_s());
-                        let cfg = ctx.hibernator_config(goal);
-                        let sim =
-                            Simulation::new(config.clone(), Hibernator::new(cfg), trace, opts);
-                        let mut r = sim.run();
-                        ctx.collect_stream(r.telemetry.take());
-                        r
+                    let mut opts = ctx.run_options();
+                    if cap > 0 {
+                        let mut c = cache::CacheConfig::with_capacity(cap);
+                        c.flush_interval_s = interval;
+                        opts.cache = Some(c);
+                    }
+                    ctx.run(&name, goal, ctx.warmup_s(), opts, |o| {
+                        let source = TraceCursor::new(trace);
+                        ctx.run_kind(PolicyKind::Hibernator, config.clone(), source, o, goal)
                     })
                 }
             })

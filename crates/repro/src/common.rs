@@ -23,8 +23,17 @@
 //! out the managed runs (stage 2). Because each run owns its seeded RNG
 //! and all output formatting happens serially from ordered results,
 //! reports — and therefore CSVs — are bit-identical at any `--jobs` value.
+//!
+//! # One run path
+//!
+//! Every simulation an experiment starts goes through [`Ctx::run`], which
+//! labels it, times it, and banks its telemetry stream when
+//! `--telemetry-out` is on. So the stream holds one run block per `[run]`
+//! line on stdout, whichever subcommand produced it.
 
-use array::{run_policy_streamed, ArrayConfig, Redundancy, RunOptions, RunReport};
+use array::{
+    run_policy_streamed, ArrayConfig, PowerPolicy, Redundancy, RunOptions, RunReport, Simulation,
+};
 use diskmodel::{DiskSpec, SpeedLevel};
 use hibernator::{Hibernator, HibernatorConfig, RandomPolicy};
 use parallel::{OnceMap, Pool};
@@ -36,6 +45,7 @@ use simkit::{SimDuration, TimeSeries};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
+use telemetry::RunStream;
 use workload::{Trace, TraceCursor, TraceSource, WorkloadSpec};
 
 /// Which workload a run uses.
@@ -131,11 +141,37 @@ impl PolicyKind {
 
 /// Cache key of a standard-scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RunKey {
-    /// The policy that managed the run.
-    pub policy: PolicyKind,
-    /// The workload it ran against.
-    pub workload: Workload,
+struct RunKey {
+    policy: PolicyKind,
+    workload: Workload,
+}
+
+/// What a finished simulation hands back to [`Ctx::run`]: a report, a
+/// report plus the policy (for callers that read its counters), or a
+/// fleet report with one report per array.
+pub trait Outcome {
+    /// Moves every captured telemetry stream into `into`.
+    fn take_streams(&mut self, into: &mut Vec<RunStream>);
+}
+
+impl Outcome for RunReport {
+    fn take_streams(&mut self, into: &mut Vec<RunStream>) {
+        into.extend(self.telemetry.take());
+    }
+}
+
+impl<P> Outcome for (RunReport, P) {
+    fn take_streams(&mut self, into: &mut Vec<RunStream>) {
+        self.0.take_streams(into);
+    }
+}
+
+impl Outcome for fleet::FleetReport {
+    fn take_streams(&mut self, into: &mut Vec<RunStream>) {
+        for r in &mut self.arrays {
+            r.take_streams(into);
+        }
+    }
 }
 
 /// Cache key of a generated trace: workload plus the exact bit pattern of
@@ -169,7 +205,7 @@ pub struct Ctx {
     /// When true, every run records a telemetry stream (collected in
     /// `streams`, flushed by [`Ctx::write_telemetry`]).
     telemetry: bool,
-    streams: Mutex<Vec<telemetry::RunStream>>,
+    streams: Mutex<Vec<RunStream>>,
 }
 
 impl Ctx {
@@ -202,30 +238,6 @@ impl Ctx {
     /// accounting (a tenth of the horizon).
     pub fn warmup_s(&self) -> f64 {
         self.duration_s() * 0.1
-    }
-
-    /// Telemetry configuration for a run labelled `label` with goal
-    /// `goal_s`, or `None` when capture is off.
-    pub fn telemetry_config(
-        &self,
-        label: &str,
-        goal_s: f64,
-        warmup_s: f64,
-    ) -> Option<telemetry::TelemetryConfig> {
-        if !self.telemetry {
-            return None;
-        }
-        Some(telemetry::TelemetryConfig::new(label).with_goal(goal_s, warmup_s))
-    }
-
-    /// Banks a finished run's telemetry stream for the final flush.
-    pub fn collect_stream(&self, stream: Option<telemetry::RunStream>) {
-        if let Some(s) = stream {
-            self.streams
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(s);
-        }
     }
 
     /// Writes every collected telemetry stream to `path` as one JSON-lines
@@ -362,7 +374,6 @@ impl Ctx {
         self.cache.get_or_compute(key, || {
             let trace = self.trace(w);
             let config = self.array_config(w);
-            let mut opts = self.run_options();
             // Resolve the goal *before* the timed section so a managed
             // run's timing never includes waiting on the Base run.
             let goal = if p == PolicyKind::Base {
@@ -371,12 +382,9 @@ impl Ctx {
                 self.goal_s(w)
             };
             let label = format!("{}/{}", p.label(), w.label());
-            opts.telemetry = self.telemetry_config(&label, goal, self.warmup_s());
-            let mut report = self.timed(&label, || {
-                self.run_kind(p, config, TraceCursor::new(&trace), opts, goal)
-            });
-            self.collect_stream(report.telemetry.take());
-            report
+            self.run(&label, goal, self.warmup_s(), self.run_options(), |o| {
+                self.run_kind(p, config, TraceCursor::new(&trace), o, goal)
+            })
         })
     }
 
@@ -420,19 +428,79 @@ impl Ctx {
         );
     }
 
-    /// Runs `f`, records its wall-clock under `label`, and prints a
-    /// per-run completion line. Worker threads may interleave these lines;
-    /// the CSV outputs are unaffected (they are formatted serially).
-    pub fn timed<T>(&self, label: &str, f: impl FnOnce() -> T) -> T {
+    /// The harness's one run path: runs `simulate` as the run `label`.
+    /// When telemetry capture is on, the options `simulate` receives
+    /// carry a stream labelled `label` with goal `goal_s` (`f64::MAX` for
+    /// Base) and warm-up `warmup_s`, and every stream the outcome holds
+    /// is banked for [`Ctx::write_telemetry`]. The wall clock is recorded
+    /// under the same label and printed as a `[run]` line; worker threads
+    /// may interleave these lines, but the CSVs are formatted serially.
+    pub fn run<T: Outcome>(
+        &self,
+        label: &str,
+        goal_s: f64,
+        warmup_s: f64,
+        mut opts: RunOptions,
+        simulate: impl FnOnce(RunOptions) -> T,
+    ) -> T {
+        if self.telemetry {
+            opts.telemetry =
+                Some(telemetry::TelemetryConfig::new(label).with_goal(goal_s, warmup_s));
+        }
         let started = std::time::Instant::now();
-        let out = f();
+        let mut out = simulate(opts);
         let secs = started.elapsed().as_secs_f64();
         println!("  [run] {label}: {secs:.2} s");
         self.timings
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push((label.to_string(), secs));
+        out.take_streams(&mut self.streams.lock().unwrap_or_else(|e| e.into_inner()));
         out
+    }
+
+    /// A goal-calibrated sweep: stage 1 runs Base on every variant, stage
+    /// 2 runs Hibernator on every variant against `goal_factor ×` that
+    /// variant's Base mean. `setup` gives a variant's name, array config
+    /// and trace; runs are labelled `"{exp} {policy} {name}"`. Each stage
+    /// is one pool batch, so `--jobs` schedules the sweep as two waves.
+    /// Returns (Base, Hibernator, goal) per variant, in variant order.
+    pub fn calibrated_sweep<V: Sync>(
+        &self,
+        exp: &str,
+        variants: &[V],
+        setup: impl Fn(&V) -> (String, ArrayConfig, Arc<Trace>) + Sync,
+    ) -> Vec<(RunReport, RunReport, f64)> {
+        let stage = |p: PolicyKind, goals: &[f64]| {
+            self.pool.map(
+                variants
+                    .iter()
+                    .zip(goals)
+                    .map(|(v, &goal)| {
+                        let setup = &setup;
+                        move || {
+                            let (name, config, trace) = setup(v);
+                            let label = format!("{exp} {} {name}", p.label());
+                            self.run(&label, goal, self.warmup_s(), self.run_options(), |o| {
+                                self.run_kind(p, config, TraceCursor::new(&trace), o, goal)
+                            })
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let bases = stage(PolicyKind::Base, &vec![f64::MAX; variants.len()]);
+        let goals: Vec<f64> = bases
+            .iter()
+            .map(|b| b.response.mean() * self.goal_factor())
+            .collect();
+        let hibs = stage(PolicyKind::Hibernator, &goals);
+        bases
+            .into_iter()
+            .zip(hibs)
+            .zip(goals)
+            .map(|((base, hib), goal)| (base, hib, goal))
+            .collect()
     }
 
     /// Prints the per-run wall-clock summary (slowest first) and the total
@@ -469,6 +537,19 @@ impl Ctx {
         std::fs::write(&path, body).expect("write csv");
         println!("  -> {}", path.display());
     }
+}
+
+/// Simulates a policy the experiment built itself (a tuned or extended
+/// Hibernator, a pinned speed level) over a materialised trace, handing
+/// the policy back so the caller can read its counters. Call it inside
+/// [`Ctx::run`]; [`Ctx::run_kind`] builds the standard kinds.
+pub fn simulate<P: PowerPolicy + Send>(
+    config: ArrayConfig,
+    policy: P,
+    trace: &Trace,
+    opts: RunOptions,
+) -> (RunReport, P) {
+    Simulation::new(config, policy, trace, opts).run_returning_policy()
 }
 
 impl Ctx {

@@ -9,8 +9,8 @@
 //! guard treats a failure as an immediate boost trigger; the run prints its
 //! boost counter to show that happening.
 
-use crate::common::{row, violation_fraction, Ctx, PolicyKind, Workload};
-use array::{Redundancy, RunReport, Simulation};
+use crate::common::{row, simulate, violation_fraction, Ctx, PolicyKind, Workload};
+use array::{Redundancy, RunReport};
 use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 use hibernator::Hibernator;
 use simkit::SimTime;
@@ -89,18 +89,9 @@ pub fn faults(ctx: &Ctx) {
     // faulted Base keeps "goal = factor × unmanaged mean" meaningful in the
     // degraded regime every policy shares. Stage 1 of the schedule: every
     // managed run below needs this goal.
-    let base = ctx.timed("faults Base/OLTP+storm", || {
-        let mut o = opts.clone();
-        o.telemetry = ctx.telemetry_config("faults/Base", f64::MAX, 600.0);
-        let mut r = ctx.run_kind(
-            PolicyKind::Base,
-            config.clone(),
-            TraceCursor::new(&trace),
-            o,
-            f64::MAX,
-        );
-        ctx.collect_stream(r.telemetry.take());
-        r
+    let base = ctx.run("faults/Base", f64::MAX, 600.0, opts.clone(), |o| {
+        let source = TraceCursor::new(&trace);
+        ctx.run_kind(PolicyKind::Base, config.clone(), source, o, f64::MAX)
     });
     let goal = base.response.mean() * ctx.goal_factor();
     println!(
@@ -144,33 +135,20 @@ pub fn faults(ctx: &Ctx) {
             .map(|&p| {
                 let (config, trace, opts) = (&config, &trace, &opts);
                 move || {
-                    ctx.timed(&format!("faults {}/OLTP+storm", p.label()), || {
-                        let mut o = opts.clone();
-                        o.telemetry =
-                            ctx.telemetry_config(&format!("faults/{}", p.label()), goal, 600.0);
-                        match p {
-                            PolicyKind::Hibernator => {
-                                let cfg = ctx.hibernator_config(goal);
-                                let sim =
-                                    Simulation::new(config.clone(), Hibernator::new(cfg), trace, o);
-                                let (mut r, policy) = sim.run_returning_policy();
-                                ctx.collect_stream(r.telemetry.take());
-                                let boosts = policy.stats().boosts;
-                                (r, boosts)
-                            }
-                            _ => {
-                                let mut r = ctx.run_kind(
-                                    p,
-                                    config.clone(),
-                                    TraceCursor::new(trace),
-                                    o,
-                                    goal,
-                                );
-                                ctx.collect_stream(r.telemetry.take());
-                                (r, 0)
-                            }
-                        }
-                    })
+                    let label = format!("faults/{}", p.label());
+                    let opts = opts.clone();
+                    if p == PolicyKind::Hibernator {
+                        let hib = Hibernator::new(ctx.hibernator_config(goal));
+                        let (r, hib) = ctx.run(&label, goal, 600.0, opts, |o| {
+                            simulate(config.clone(), hib, trace, o)
+                        });
+                        (r, hib.stats().boosts)
+                    } else {
+                        let r = ctx.run(&label, goal, 600.0, opts, |o| {
+                            ctx.run_kind(p, config.clone(), TraceCursor::new(trace), o, goal)
+                        });
+                        (r, 0)
+                    }
                 }
             })
             .collect::<Vec<_>>(),

@@ -4,13 +4,14 @@
 //! writes the full-resolution series to CSV in the results directory.
 //!
 //! Every figure follows the same parallel shape: *gather* the runs it
-//! needs (through [`Ctx::prefetch`] for standard-scenario runs, or a
-//! [`Ctx::pool`] batch for ad-hoc knob sweeps), then *format* rows
+//! needs (through [`Ctx::prefetch`] for standard-scenario runs,
+//! [`Ctx::calibrated_sweep`] for knob sweeps that calibrate a goal per
+//! variant, or a [`Ctx::pool`] batch for the rest), then *format* rows
 //! serially from the ordered results — so the CSV bytes never depend on
 //! the jobs count.
 
-use crate::common::{violation_fraction, Ctx, PolicyKind, Workload};
-use array::{RunOptions, RunReport};
+use crate::common::{simulate, violation_fraction, Ctx, PolicyKind, Workload};
+use array::RunReport;
 use hibernator::{Hibernator, HibernatorConfig};
 use simkit::SimDuration;
 use workload::TraceCursor;
@@ -50,7 +51,7 @@ pub fn f2(ctx: &Ctx) {
         }
     }
     let hib = ctx.report(PolicyKind::Hibernator, Workload::Cello);
-    let viol = violation_fraction(&hib.response_series, goal, ctx.duration_s() * 0.1);
+    let viol = violation_fraction(&hib.response_series, goal, ctx.warmup_s());
     println!(
         "  goal {:.2} ms; Hibernator violates in {:.1}% of buckets",
         goal * 1e3,
@@ -73,12 +74,13 @@ pub fn f3(ctx: &Ctx) {
                 let (base, trace) = (&base, &trace);
                 move || {
                     let goal = base.response.mean() * factor;
-                    let r = ctx.timed(&format!("f3 goal {factor:.1}x/OLTP"), || {
+                    let label = format!("f3 goal {factor:.1}x/OLTP");
+                    let r = ctx.run(&label, goal, ctx.warmup_s(), ctx.run_options(), |o| {
                         ctx.run_kind(
                             PolicyKind::Hibernator,
                             ctx.array_config(Workload::Oltp),
                             TraceCursor::new(trace),
-                            ctx.run_options(),
+                            o,
                             goal,
                         )
                     });
@@ -129,14 +131,12 @@ pub fn f4(ctx: &Ctx) {
                     let mut cfg = HibernatorConfig::for_goal(goal);
                     cfg.epoch = SimDuration::from_secs(e);
                     cfg.heat_tau = SimDuration::from_secs(e);
-                    ctx.timed(&format!("f4 epoch {e:.0}s/OLTP"), || {
-                        array::run_policy(
-                            ctx.array_config(Workload::Oltp),
-                            Hibernator::new(cfg),
-                            trace,
-                            ctx.run_options(),
-                        )
+                    let label = format!("f4 epoch {e:.0}s/OLTP");
+                    ctx.run(&label, goal, ctx.warmup_s(), ctx.run_options(), |o| {
+                        let config = ctx.array_config(Workload::Oltp);
+                        simulate(config, Hibernator::new(cfg), trace, o)
                     })
+                    .0
                 }
             })
             .collect::<Vec<_>>(),
@@ -166,57 +166,17 @@ pub fn f4(ctx: &Ctx) {
 /// F5 — energy savings vs number of disk speed levels (OLTP).
 pub fn f5(ctx: &Ctx) {
     println!("\n== F5: savings vs number of speed levels (OLTP) ==");
-    let trace = ctx.trace(Workload::Oltp);
     let levels_list: &[usize] = if ctx.quick { &[2, 6] } else { &[2, 3, 4, 6, 8] };
-    // Stage 1: the Base run of each level count (calibrates its goal).
-    let bases = ctx.pool().map(
-        levels_list
-            .iter()
-            .map(|&levels| {
-                let trace = &trace;
-                move || {
-                    let config = ctx.array_config_with(Workload::Oltp, ctx.disks(), levels);
-                    ctx.timed(&format!("f5 Base {levels}-level/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Base,
-                            config,
-                            TraceCursor::new(trace),
-                            ctx.run_options(),
-                            0.1,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
-    // Stage 2: the managed run of each level count, against its own goal.
-    let goals: Vec<f64> = bases
-        .iter()
-        .map(|b| b.response.mean() * ctx.goal_factor())
-        .collect();
-    let runs = ctx.pool().map(
-        levels_list
-            .iter()
-            .zip(&goals)
-            .map(|(&levels, &goal)| {
-                let trace = &trace;
-                move || {
-                    let config = ctx.array_config_with(Workload::Oltp, ctx.disks(), levels);
-                    ctx.timed(&format!("f5 Hibernator {levels}-level/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Hibernator,
-                            config,
-                            TraceCursor::new(trace),
-                            ctx.run_options(),
-                            goal,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
+    let runs = ctx.calibrated_sweep("f5", levels_list, |&levels| {
+        let config = ctx.array_config_with(Workload::Oltp, ctx.disks(), levels);
+        (
+            format!("{levels}-level/OLTP"),
+            config,
+            ctx.trace(Workload::Oltp),
+        )
+    });
     let mut rows = Vec::new();
-    for ((&levels, base), r) in levels_list.iter().zip(&bases).zip(&runs) {
+    for (&levels, (base, r, _)) in levels_list.iter().zip(&runs) {
         let sav = r.savings_vs(base) * 100.0;
         println!(
             "  {levels} levels: savings {sav:.1}%, mean {:.2} ms",
@@ -235,55 +195,13 @@ pub fn f6(ctx: &Ctx) {
     } else {
         &[0.25, 0.5, 1.0, 1.5, 2.0]
     };
-    // Stage 1: per-load Base runs (each also generates its trace).
-    let bases = ctx.pool().map(
-        loads
-            .iter()
-            .map(|&load| {
-                move || {
-                    let trace = ctx.trace_with_load(Workload::Oltp, load);
-                    let config = ctx.array_config(Workload::Oltp);
-                    ctx.timed(&format!("f6 Base load {load:.2}x/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Base,
-                            config,
-                            TraceCursor::new(&trace),
-                            ctx.run_options(),
-                            0.1,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
-    // Stage 2: the goal-calibrated Hibernator runs.
-    let goals: Vec<f64> = bases
-        .iter()
-        .map(|b| b.response.mean() * ctx.goal_factor())
-        .collect();
-    let runs = ctx.pool().map(
-        loads
-            .iter()
-            .zip(&goals)
-            .map(|(&load, &goal)| {
-                move || {
-                    let trace = ctx.trace_with_load(Workload::Oltp, load);
-                    let config = ctx.array_config(Workload::Oltp);
-                    ctx.timed(&format!("f6 Hibernator load {load:.2}x/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Hibernator,
-                            config,
-                            TraceCursor::new(&trace),
-                            ctx.run_options(),
-                            goal,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
+    let runs = ctx.calibrated_sweep("f6", loads, |&load| {
+        let trace = ctx.trace_with_load(Workload::Oltp, load);
+        let config = ctx.array_config(Workload::Oltp);
+        (format!("load {load:.2}x/OLTP"), config, trace)
+    });
     let mut rows = Vec::new();
-    for ((&load, (base, r)), &goal) in loads.iter().zip(bases.iter().zip(&runs)).zip(&goals) {
+    for (&load, (base, r, goal)) in loads.iter().zip(&runs) {
         let sav = r.savings_vs(base) * 100.0;
         println!(
             "  load {load:.2}x: savings {sav:5.1}%, mean {:.2} ms (goal {:.2} ms)",
@@ -352,7 +270,7 @@ pub fn f8(ctx: &Ctx) {
             rows.push(format!("{},{:.5},{f:.5}", p.label(), v * 1e3));
         }
         let p99 = r.response_hist.quantile(0.99).unwrap_or(0.0) * 1e3;
-        let viol = violation_fraction(&r.response_series, goal, ctx.duration_s() * 0.1) * 100.0;
+        let viol = violation_fraction(&r.response_series, goal, ctx.warmup_s()) * 100.0;
         println!(
             "  {:>14}: mean {:.2} ms, p99 {p99:.1} ms, violations {viol:.1}%",
             p.label(),
@@ -370,58 +288,15 @@ pub fn f9(ctx: &Ctx) {
     } else {
         &[8, 16, 24, 32]
     };
-    // Stage 1: Base per size (arrival rate scales with the array so
-    // per-disk load is fixed; each job generates its own trace).
-    let bases = ctx.pool().map(
-        sizes
-            .iter()
-            .map(|&disks| {
-                move || {
-                    let load = disks as f64 / ctx.disks() as f64;
-                    let trace = ctx.trace_with_load(Workload::Oltp, load);
-                    let config = ctx.array_config_with(Workload::Oltp, disks, 6);
-                    ctx.timed(&format!("f9 Base {disks}-disk/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Base,
-                            config,
-                            TraceCursor::new(&trace),
-                            ctx.run_options(),
-                            0.1,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
-    // Stage 2: Hibernator per size against the stage-1 goals.
-    let goals: Vec<f64> = bases
-        .iter()
-        .map(|b| b.response.mean() * ctx.goal_factor())
-        .collect();
-    let runs = ctx.pool().map(
-        sizes
-            .iter()
-            .zip(&goals)
-            .map(|(&disks, &goal)| {
-                move || {
-                    let load = disks as f64 / ctx.disks() as f64;
-                    let trace = ctx.trace_with_load(Workload::Oltp, load);
-                    let config = ctx.array_config_with(Workload::Oltp, disks, 6);
-                    ctx.timed(&format!("f9 Hibernator {disks}-disk/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Hibernator,
-                            config,
-                            TraceCursor::new(&trace),
-                            ctx.run_options(),
-                            goal,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
+    // The arrival rate scales with the array, so per-disk load is fixed.
+    let runs = ctx.calibrated_sweep("f9", sizes, |&disks| {
+        let load = disks as f64 / ctx.disks() as f64;
+        let trace = ctx.trace_with_load(Workload::Oltp, load);
+        let config = ctx.array_config_with(Workload::Oltp, disks, 6);
+        (format!("{disks}-disk/OLTP"), config, trace)
+    });
     let mut rows = Vec::new();
-    for ((&disks, base), r) in sizes.iter().zip(&bases).zip(&runs) {
+    for (&disks, (base, r, _)) in sizes.iter().zip(&runs) {
         let sav = r.savings_vs(base) * 100.0;
         println!(
             "  {disks:>2} disks: savings {sav:5.1}%, mean {:.2} ms",
@@ -486,18 +361,14 @@ pub fn f11(ctx: &Ctx) {
     let trace = ctx.trace(Workload::Cello);
     let mut rows = Vec::new();
     let plain = ctx.report(PolicyKind::Hibernator, Workload::Cello);
-    let cfg = ctx.hibernator_config(goal);
-    let standby = ctx.timed("f11 Hib+standby/Cello", || {
-        array::run_policy(
-            ctx.array_config(Workload::Cello),
-            Hibernator::new(cfg).with_standby(),
-            &trace,
-            ctx.run_options(),
-        )
+    let hib = Hibernator::new(ctx.hibernator_config(goal)).with_standby();
+    let label = "f11 Hib+standby/Cello";
+    let (standby, _) = ctx.run(label, goal, ctx.warmup_s(), ctx.run_options(), |o| {
+        simulate(ctx.array_config(Workload::Cello), hib, &trace, o)
     });
     for (name, r) in [("Hibernator", &*plain), ("Hib+standby", &standby)] {
         let sav = r.savings_vs(&base) * 100.0;
-        let viol = violation_fraction(&r.response_series, goal, ctx.duration_s() * 0.1) * 100.0;
+        let viol = violation_fraction(&r.response_series, goal, ctx.warmup_s()) * 100.0;
         println!(
             "  {name:>12}: savings {sav:5.1}%, mean {:.2} ms, violations {viol:.1}%, standby {:.0} kJ",
             r.mean_response_ms(),
@@ -532,14 +403,11 @@ pub fn f12(ctx: &Ctx) {
                 move || {
                     let trace = ctx.trace_with_load(Workload::Oltp, load);
                     let config = ctx.array_config(Workload::Oltp);
-                    ctx.timed(&format!("f12 L{level} load {load:.1}x/OLTP"), || {
-                        array::run_policy(
-                            config,
-                            FixedSpeed::new(SpeedLevel(level)),
-                            &trace,
-                            ctx.run_options(),
-                        )
+                    let label = format!("f12 L{level} load {load:.1}x/OLTP");
+                    ctx.run(&label, f64::MAX, ctx.warmup_s(), ctx.run_options(), |o| {
+                        simulate(config, FixedSpeed::new(SpeedLevel(level)), &trace, o)
                     })
+                    .0
                 }
             })
             .collect::<Vec<_>>(),
@@ -608,7 +476,3 @@ pub fn all(ctx: &Ctx) {
     f11(ctx);
     f12(ctx);
 }
-
-/// Convenience re-export for `RunOptions` users inside this module tree.
-#[allow(unused)]
-fn _assert_signatures(_: RunOptions) {}

@@ -63,19 +63,14 @@ pub fn fleet(ctx: &Ctx, arrays: usize, tenants: u32, budget_frac: f64) {
         }
     );
 
-    let mut opts = ctx.run_options();
-    opts.telemetry = ctx.telemetry_config("fleet", goal, ctx.warmup_s());
-    let mut spec = FleetSpec::new(arrays, tenants, config, opts, budget);
-    spec.fleet_epoch = SimDuration::from_secs((ctx.duration_s() / EPOCHS_PER_HORIZON).max(60.0));
-
-    let mut report = ctx.timed("fleet", || {
+    let fleet_epoch = SimDuration::from_secs((ctx.duration_s() / EPOCHS_PER_HORIZON).max(60.0));
+    let report = ctx.run("fleet", goal, ctx.warmup_s(), ctx.run_options(), |opts| {
+        let mut spec = FleetSpec::new(arrays, tenants, config, opts, budget);
+        spec.fleet_epoch = fleet_epoch;
         run_fleet(&spec, &trace, ctx.pool(), |_| {
             Hibernator::new(ctx.hibernator_config(goal))
         })
     });
-    for r in report.arrays.iter_mut() {
-        ctx.collect_stream(r.telemetry.take());
-    }
 
     // Self-audit before any output: a fleet run that breaks its own
     // invariants must not leave plausible-looking CSVs behind.

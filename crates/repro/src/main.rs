@@ -18,8 +18,9 @@
 //! simulated horizon (hours) for sub-quick smoke runs.
 //!
 //! `--telemetry-out PATH` records a structured event stream for every
-//! standard and fault-storm run and writes them (sorted by run label, so
-//! byte-identical at any `--jobs`) to PATH as JSON lines. `repro audit
+//! simulation of every subcommand, under its `[run]` label, and writes
+//! them (sorted by run label, so byte-identical at any `--jobs`) to PATH
+//! as JSON lines; `bench` times its runs and records nothing. `repro audit
 //! PATH` then replays such a stream through the cross-cutting invariant
 //! checks (energy conservation, dead-disk serving, migration concurrency,
 //! goal-violation refit, …) and exits non-zero on any failure.
@@ -239,31 +240,8 @@ fn main() {
         bench::bench(seed, &out, iters, check_floor);
         return;
     }
-    if experiments.first().map(String::as_str) == Some("fleet") {
-        if experiments.len() != 1 {
-            usage();
-        }
-        let mut ctx = Ctx::new(quick, seed, &out, jobs);
-        if let Some(h) = horizon_h {
-            ctx.set_horizon_hours(h);
-        }
-        if telemetry_out.is_some() {
-            ctx.set_telemetry(true);
-        }
-        println!(
-            "# Hibernator fleet — {arrays} array(s), seed {seed}, {:.1} h horizon, {jobs} job(s)",
-            ctx.duration_s() / 3600.0
-        );
-        let started = std::time::Instant::now();
-        fleetcmd::fleet(&ctx, arrays, tenants, budget_frac);
-        if let Some(path) = &telemetry_out {
-            ctx.write_telemetry(std::path::Path::new(path));
-        }
-        ctx.print_timings();
-        println!("\ndone in {:.1?} (wall clock)", started.elapsed());
-        return;
-    }
-    if experiments.is_empty() {
+    let fleet = experiments.first().map(String::as_str) == Some("fleet");
+    if experiments.is_empty() || (fleet && experiments.len() != 1) {
         usage();
     }
 
@@ -271,19 +249,23 @@ fn main() {
     if let Some(h) = horizon_h {
         ctx.set_horizon_hours(h);
     }
-    if telemetry_out.is_some() {
-        ctx.set_telemetry(true);
-    }
-    println!(
-        "# Hibernator reproduction — {} scale, seed {seed}, {} disks, {:.1} h horizon, {jobs} job(s)",
-        if quick { "quick" } else { "full" },
-        ctx.disks(),
-        ctx.duration_s() / 3600.0
-    );
-
+    ctx.set_telemetry(telemetry_out.is_some());
+    let horizon_h = ctx.duration_s() / 3600.0;
     let started = std::time::Instant::now();
-    for e in &experiments {
-        run_one(&ctx, e);
+    if fleet {
+        println!(
+            "# Hibernator fleet — {arrays} array(s), seed {seed}, {horizon_h:.1} h horizon, {jobs} job(s)"
+        );
+        fleetcmd::fleet(&ctx, arrays, tenants, budget_frac);
+    } else {
+        println!(
+            "# Hibernator reproduction — {} scale, seed {seed}, {} disks, {horizon_h:.1} h horizon, {jobs} job(s)",
+            if quick { "quick" } else { "full" },
+            ctx.disks(),
+        );
+        for e in &experiments {
+            run_one(&ctx, e);
+        }
     }
     if let Some(path) = &telemetry_out {
         ctx.write_telemetry(std::path::Path::new(path));

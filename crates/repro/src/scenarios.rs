@@ -59,18 +59,9 @@ pub fn scenarios(ctx: &Ctx) {
                 let (spec, config) = (&spec, &config);
                 move || {
                     let name = label(slug, PolicyKind::Base);
-                    ctx.timed(&name, || {
-                        let mut opts = ctx.run_options();
-                        opts.telemetry = ctx.telemetry_config(&name, f64::MAX, ctx.warmup_s());
-                        let mut r = ctx.run_kind(
-                            PolicyKind::Base,
-                            config.clone(),
-                            source_for(spec, sc, ctx.seed),
-                            opts,
-                            f64::MAX,
-                        );
-                        ctx.collect_stream(r.telemetry.take());
-                        r
+                    ctx.run(&name, f64::MAX, ctx.warmup_s(), ctx.run_options(), |o| {
+                        let source = source_for(spec, sc, ctx.seed);
+                        ctx.run_kind(PolicyKind::Base, config.clone(), source, o, f64::MAX)
                     })
                 }
             })
@@ -93,18 +84,9 @@ pub fn scenarios(ctx: &Ctx) {
                 move || {
                     let (slug, sc) = &axis[i];
                     let name = label(slug, p);
-                    ctx.timed(&name, || {
-                        let mut opts = ctx.run_options();
-                        opts.telemetry = ctx.telemetry_config(&name, goals[i], ctx.warmup_s());
-                        let mut r = ctx.run_kind(
-                            p,
-                            config.clone(),
-                            source_for(spec, sc, ctx.seed),
-                            opts,
-                            goals[i],
-                        );
-                        ctx.collect_stream(r.telemetry.take());
-                        r
+                    ctx.run(&name, goals[i], ctx.warmup_s(), ctx.run_options(), |o| {
+                        let source = source_for(spec, sc, ctx.seed);
+                        ctx.run_kind(p, config.clone(), source, o, goals[i])
                     })
                 }
             })

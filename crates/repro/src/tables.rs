@@ -3,7 +3,7 @@
 use crate::common::{row, violation_fraction, Ctx, PolicyKind, Workload};
 use diskmodel::{DiskSpec, PowerModel, ServiceModel, SpeedLevel};
 use simkit::EnergyComponent;
-use workload::{TraceCursor, TraceStats};
+use workload::TraceStats;
 
 /// T1 — the multi-speed disk model parameter table.
 pub fn t1(ctx: &Ctx) {
@@ -171,7 +171,7 @@ pub fn t3(ctx: &Ctx) {
 /// T4 — response time and goal compliance per policy and workload.
 pub fn t4(ctx: &Ctx) {
     println!("\n== T4: response time vs goal ==");
-    let warmup = ctx.duration_s() * 0.1;
+    let warmup = ctx.warmup_s();
     let widths = [13, 11, 11, 11, 11, 11, 11];
     println!(
         "{}",
@@ -241,63 +241,17 @@ pub fn t4(ctx: &Ctx) {
 /// under RAID-5-like parity writes, vs plain striping.
 pub fn t6(ctx: &Ctx) {
     println!("\n== T6: redundancy mode (OLTP, Base vs Hibernator) ==");
-    use crate::common::PolicyKind;
-    let trace = ctx.trace(Workload::Oltp);
     let modes = [
         ("striped", array::Redundancy::None),
         ("raid5", array::Redundancy::Raid5Like),
     ];
-    // Stage 1: Base per redundancy mode (calibrates each goal).
-    let bases = ctx.pool().map(
-        modes
-            .iter()
-            .map(|&(label, redundancy)| {
-                let trace = &trace;
-                move || {
-                    let mut config = ctx.array_config(Workload::Oltp);
-                    config.redundancy = redundancy;
-                    ctx.timed(&format!("t6 Base {label}/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Base,
-                            config,
-                            TraceCursor::new(trace),
-                            ctx.run_options(),
-                            0.1,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
-    // Stage 2: Hibernator per mode against its own goal.
-    let goals: Vec<f64> = bases
-        .iter()
-        .map(|b| b.response.mean() * ctx.goal_factor())
-        .collect();
-    let hibs = ctx.pool().map(
-        modes
-            .iter()
-            .zip(&goals)
-            .map(|(&(label, redundancy), &goal)| {
-                let trace = &trace;
-                move || {
-                    let mut config = ctx.array_config(Workload::Oltp);
-                    config.redundancy = redundancy;
-                    ctx.timed(&format!("t6 Hibernator {label}/OLTP"), || {
-                        ctx.run_kind(
-                            PolicyKind::Hibernator,
-                            config,
-                            TraceCursor::new(trace),
-                            ctx.run_options(),
-                            goal,
-                        )
-                    })
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
+    let runs = ctx.calibrated_sweep("t6", &modes, |&(label, redundancy)| {
+        let mut config = ctx.array_config(Workload::Oltp);
+        config.redundancy = redundancy;
+        (format!("{label}/OLTP"), config, ctx.trace(Workload::Oltp))
+    });
     let mut rows = Vec::new();
-    for (((label, _), base), (hib, goal)) in modes.iter().zip(&bases).zip(hibs.iter().zip(&goals)) {
+    for ((label, _), (base, hib, goal)) in modes.iter().zip(&runs) {
         let sav = hib.savings_vs(base) * 100.0;
         println!(
             "  {label:>8}: base {:6.0} kJ, hib {:6.0} kJ ({sav:5.1}% saved), \

@@ -173,7 +173,8 @@ pub enum Event {
         /// The grace period in force, seconds. Auditable: no chunk may
         /// start a new move within this window of its last commit.
         grace_s: f64,
-        /// Disks the policy put to sleep this epoch.
+        /// Disks put to sleep this epoch, whether the policy's plan or
+        /// the standby extension parked them.
         sleepers: u32,
     },
     /// A disk began a speed transition (or an instant level commit).

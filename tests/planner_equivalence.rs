@@ -51,7 +51,7 @@ fn migration_rows_commit_abort_and_drop_jobs() {
 
 /// The `ablation/*` rows pin the two Hibernator ablations where they act:
 /// random placement commits moves, and the standby extension stops
-/// spindles.
+/// spindles and says so in its `policy` events' `sleepers`.
 #[test]
 fn ablation_rows_move_data_and_stop_spindles() {
     let runs = reference::ablation_runs();
@@ -64,6 +64,21 @@ fn ablation_rows_move_data_and_stop_spindles() {
     assert!(
         standby.energy.joules(simkit::EnergyComponent::Standby) > 0.0,
         "the standby extension stopped no spindle"
+    );
+    let most_parked = String::from_utf8_lossy(&runs[1].stream)
+        .lines()
+        .filter(|l| l.starts_with("{\"ev\":\"policy\""))
+        .filter_map(|l| {
+            l.split("\"sleepers\":")
+                .nth(1)?
+                .trim_end_matches('}')
+                .parse::<u32>()
+                .ok()
+        })
+        .max();
+    assert!(
+        most_parked > Some(0),
+        "no policy event counts the disks the standby extension parked"
     );
     reference::assert_rows_match_golden(&runs.into_iter().map(|r| r.row).collect::<Vec<_>>());
 }
