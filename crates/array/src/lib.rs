@@ -22,13 +22,14 @@
 
 mod heat;
 mod migration;
+mod paged;
 mod policy;
 mod remap;
 mod sim;
 mod stats;
 mod types;
 
-pub use heat::{HeatMap, RankScratch};
+pub use heat::{append_cold_tail, HeatMap, RankScratch};
 pub use migration::{
     MigrationEngine, MigrationJob, MigrationRecord, MigrationRecordKind, MigrationStats,
     PieceOutcome, PIECE_SECTORS,

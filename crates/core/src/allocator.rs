@@ -12,7 +12,8 @@
 //! prefix, and so on down. For an assignment `(n_{K-1}, …, n_0)`:
 //!
 //! * tier load `λ_k` = summed rates of its chunk range, split evenly over
-//!   its `n_k` disks;
+//!   its `n_k` disks (the ranking's cold tail adds nothing, so only the
+//!   warm prefix's rates are summed);
 //! * per-disk response `R_k` from the M/G/1 predictor;
 //! * array response `R̄ = Σ λ_k·R_k / λ` (request-weighted);
 //! * power `P = Σ n_k·(P_idle(k) + ρ_k·P_active_extra)`.
@@ -31,8 +32,12 @@ use diskmodel::{PowerModel, SpeedLevel};
 /// Inputs that change every epoch.
 #[derive(Debug, Clone)]
 pub struct AllocationInput<'a> {
-    /// Per-chunk arrival rates (req/s), sorted descending (hottest first).
+    /// Per-chunk arrival rates (req/s), sorted descending (hottest first):
+    /// a prefix of the full ranking, whose other chunks have rate 0.
     pub chunk_rates: &'a [f64],
+    /// The full ranking's length, the chunks the disks share (at least
+    /// `chunk_rates.len()`).
+    pub chunks: usize,
     /// Number of disks to distribute.
     pub disks: usize,
     /// Mean response-time goal, seconds.
@@ -129,7 +134,7 @@ impl SpeedAllocator {
             input.disks,
             "must assign every disk"
         );
-        let cum = cumulative_rates(input.chunk_rates, input.disks);
+        let cum = cumulative_rates(input, input.disks);
         let total_rate: f64 = *cum.last().expect("cum non-empty");
 
         let mut used = 0usize;
@@ -171,7 +176,7 @@ impl SpeedAllocator {
         assert!(input.goal_s > 0.0, "goal must be positive");
         let levels = self.levels();
         let n = input.disks;
-        let cum = cumulative_rates(input.chunk_rates, n);
+        let cum = cumulative_rates(input, n);
         let total_rate = *cum.last().expect("non-empty");
         let budget = input.goal_s * total_rate.max(1e-12);
         let b = self.buckets;
@@ -266,7 +271,7 @@ impl SpeedAllocator {
         assert!(input.disks > 0, "no disks");
         let levels = self.levels();
         let n = input.disks;
-        let cum = cumulative_rates(input.chunk_rates, n);
+        let cum = cumulative_rates(input, n);
         let b = self.buckets;
         let cols = b + 1;
         let cap = cap_w.max(0.0);
@@ -468,8 +473,10 @@ impl ChoiceTable {
 
 /// Prefix sums of tier loads: `cum[i]` = total rate of the hottest
 /// `i × chunks_per_disk` chunks, for i = 0..=disks.
-fn cumulative_rates(chunk_rates: &[f64], disks: usize) -> Vec<f64> {
-    let cpd = chunk_rates.len().div_ceil(disks.max(1)).max(1);
+fn cumulative_rates(input: &AllocationInput<'_>, disks: usize) -> Vec<f64> {
+    debug_assert!(input.chunk_rates.len() <= input.chunks);
+    let chunk_rates = input.chunk_rates;
+    let cpd = input.chunks.div_ceil(disks.max(1)).max(1);
     let mut cum = Vec::with_capacity(disks + 1);
     cum.push(0.0);
     let mut acc = 0.0;
@@ -551,6 +558,7 @@ mod tests {
         let r = rates(64, 0.001); // essentially no load
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.050,
         };
@@ -570,6 +578,7 @@ mod tests {
         let r = rates(64, 1100.0);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.040,
         };
@@ -593,6 +602,7 @@ mod tests {
         let r: Vec<f64> = raw.into_iter().map(|x| x / sum * 250.0).collect();
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.008,
         };
@@ -616,6 +626,7 @@ mod tests {
             let r = rates(40, total);
             let input = AllocationInput {
                 chunk_rates: &r,
+                chunks: r.len(),
                 disks: 5,
                 goal_s: goal,
             };
@@ -642,6 +653,7 @@ mod tests {
         let r = rates(64, 200.0);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.022,
         };
@@ -660,6 +672,7 @@ mod tests {
         for goal in [0.100, 0.040, 0.020, 0.012] {
             let input = AllocationInput {
                 chunk_rates: &r,
+                chunks: r.len(),
                 disks: 8,
                 goal_s: goal,
             };
@@ -681,6 +694,7 @@ mod tests {
         let r = rates(64, 2500.0); // saturates even all-fast
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 4,
             goal_s: 0.001,
         };
@@ -695,6 +709,7 @@ mod tests {
         let r = rates(64, 150.0);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.020,
         };
@@ -717,6 +732,7 @@ mod tests {
         let r = rates(64, 150.0);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.020,
         };
@@ -738,6 +754,7 @@ mod tests {
         let r = rates(64, 10.0);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.050,
         };
@@ -752,6 +769,7 @@ mod tests {
         let r = rates(64, 150.0);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 8,
             goal_s: 0.020,
         };
@@ -793,11 +811,26 @@ mod tests {
     #[test]
     fn cumulative_rates_cover_everything() {
         let r = vec![4.0, 3.0, 2.0, 1.0];
-        let cum = cumulative_rates(&r, 2);
+        let input = AllocationInput {
+            chunk_rates: &r,
+            chunks: r.len(),
+            disks: 2,
+            goal_s: 0.01,
+        };
+        let cum = cumulative_rates(&input, 2);
         assert_eq!(cum, vec![0.0, 7.0, 10.0]);
         // More disks than chunks: later disks take empty ranges.
-        let cum = cumulative_rates(&r, 8);
+        let cum = cumulative_rates(&input, 8);
         assert_eq!(cum.len(), 9);
         assert_eq!(*cum.last().unwrap(), 10.0);
+        // A warm prefix of a longer ranking: the tier ranges follow the
+        // full length, and the implicit tail adds nothing.
+        let prefix = AllocationInput {
+            chunk_rates: &r[..3],
+            chunks: 8,
+            ..input
+        };
+        assert_eq!(cumulative_rates(&prefix, 2), vec![0.0, 9.0, 9.0]);
+        assert_eq!(cumulative_rates(&prefix, 4), vec![0.0, 7.0, 9.0, 9.0, 9.0]);
     }
 }

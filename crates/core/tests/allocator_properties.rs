@@ -82,6 +82,7 @@ fn feasible_claims_are_honest() {
         let r = rates(64, total, skew);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks,
             goal_s: goal_ms / 1e3,
         };
@@ -113,6 +114,7 @@ fn near_optimal_vs_exhaustive() {
         let r = rates(40, total, skew);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks: 4,
             goal_s: goal_ms / 1e3,
         };
@@ -145,6 +147,7 @@ fn power_monotone_in_goal() {
         for goal_ms in [6.0, 10.0, 20.0, 50.0, 200.0] {
             let input = AllocationInput {
                 chunk_rates: &r,
+                chunks: r.len(),
                 disks: 6,
                 goal_s: goal_ms / 1e3,
             };
@@ -170,6 +173,7 @@ fn idle_always_goes_all_slow() {
         let r = rates(32, 1e-6, 1.0);
         let input = AllocationInput {
             chunk_rates: &r,
+            chunks: r.len(),
             disks,
             goal_s: 0.050,
         };
@@ -231,7 +235,9 @@ fn fleet_shaped_rates(rng: &mut DetRng, disks: usize) -> Vec<f64> {
 /// returned allocation over a seeded sweep of 1–16 disks, fleet-shaped
 /// rate vectors, several goals, and generous, tight, unmeetable and zero
 /// power caps. A rewrite of the DP that changes any predicted bit, any
-/// per-level count or any feasibility flag changes the hash.
+/// per-level count or any feasibility flag changes the hash. Each call is
+/// repeated on the rates' warm prefix (the zero tail left implicit, as the
+/// host's ranking passes it), which must return the same allocation.
 #[test]
 fn allocator_outputs_are_pinned() {
     let (alloc, mut measured) = setup();
@@ -253,10 +259,17 @@ fn allocator_outputs_are_pinned() {
             for goal_ms in [3.0, 9.0, 25.0, rng.uniform(4.0, 80.0)] {
                 let input = AllocationInput {
                     chunk_rates: &r,
+                    chunks: r.len(),
                     disks,
                     goal_s: goal_ms / 1e3,
                 };
+                let warm = r.iter().rposition(|&x| x > 0.0).map_or(0, |i| i + 1);
+                let short = AllocationInput {
+                    chunk_rates: &r[..warm],
+                    ..input.clone()
+                };
                 let free = alloc.allocate(&input, est);
+                assert_eq!(alloc.allocate(&short, est), free);
                 h = hash_allocation(h, &free);
                 let mut slow = vec![0; 6];
                 slow[0] = disks;
@@ -269,7 +282,9 @@ fn allocator_outputs_are_pinned() {
                     floor * 0.5,
                     0.0,
                 ] {
-                    h = hash_allocation(h, &alloc.allocate_capped(&input, est, cap));
+                    let capped = alloc.allocate_capped(&input, est, cap);
+                    assert_eq!(alloc.allocate_capped(&short, est, cap), capped);
+                    h = hash_allocation(h, &capped);
                 }
                 calls += 5;
             }

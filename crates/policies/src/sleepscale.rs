@@ -54,8 +54,11 @@ impl MigrationPolicy for SleepScalePolicy {
 
     fn plan_speeds(&mut self, obs: &SpeedObservation<'_>) -> Option<SpeedPlan> {
         let alive = obs.input.disks;
-        let rates = obs.input.chunk_rates; // sorted descending by the host
-        let cpd = rates.len().div_ceil(alive).max(1);
+        // Sorted descending by the host: the warm prefix of a ranking of
+        // `chunks` chunks, the rest at rate 0.
+        let rates = obs.input.chunk_rates;
+        let chunks = obs.input.chunks;
+        let cpd = chunks.div_ceil(alive).max(1);
         let pm = obs.state.disks[0].power_model();
         let standby_w = pm.standby_w();
         let wake = pm.spinup_from_standby(SpeedLevel(0));
@@ -78,12 +81,13 @@ impl MigrationPolicy for SleepScalePolicy {
             let spinning = alive - k;
             // The coldest k disk-shares go dark; their accesses pay a
             // wake-up stall and are then served by the spinning set.
-            let hot_end = (spinning * cpd).min(rates.len());
-            let hot = &rates[..hot_end];
-            let cold_rate: f64 = rates[hot_end..].iter().sum();
+            let hot_end = (spinning * cpd).min(chunks);
+            let hot = &rates[..hot_end.min(rates.len())];
+            let cold_rate: f64 = rates[hot.len()..].iter().sum();
             let hot_rate: f64 = hot.iter().sum();
             let input = AllocationInput {
                 chunk_rates: hot,
+                chunks: hot_end,
                 disks: spinning,
                 goal_s: obs.input.goal_s,
             };
@@ -171,6 +175,7 @@ mod tests {
         rates[0] = 0.5;
         let input = AllocationInput {
             chunk_rates: &rates,
+            chunks: rates.len(),
             disks: 4,
             goal_s: 1.0,
         };
@@ -186,6 +191,24 @@ mod tests {
             .expect("sleepscale always plans");
         assert_eq!(plan.alloc.per_level.iter().sum::<usize>(), 4);
         assert!(plan.sleepers > 0, "a dead-cold tail should sleep");
+        // The host passes only the warm prefix; the plan is the same.
+        let short = AllocationInput {
+            chunk_rates: &rates[..1],
+            ..input.clone()
+        };
+        let same = p
+            .plan_speeds(&SpeedObservation {
+                input: &short,
+                allocator: &alloc,
+                estimator: &est,
+                power_cap: None,
+                state: &state,
+            })
+            .expect("sleepscale always plans");
+        assert_eq!(
+            (same.alloc, same.sleepers),
+            (plan.alloc.clone(), plan.sleepers)
+        );
         // Sleeping must beat the pure speed-scaling baseline on power.
         let base = alloc.allocate(&input, &est);
         assert!(
@@ -205,6 +228,7 @@ mod tests {
         let rates = vec![20.0; 16];
         let input = AllocationInput {
             chunk_rates: &rates,
+            chunks: rates.len(),
             disks: 4,
             goal_s: 0.02,
         };
@@ -234,6 +258,7 @@ mod tests {
         rates[0] = 0.5;
         let input = AllocationInput {
             chunk_rates: &rates,
+            chunks: rates.len(),
             disks: 4,
             goal_s: 1.0,
         };
