@@ -305,9 +305,6 @@ where
     };
     let mut fleet_bytes: Vec<u8> =
         Vec::with_capacity(160 * (2 * num_epochs + grant_lines + placement.moves.len() + 2));
-    let emit = |ev: Event, bytes: &mut Vec<u8>| {
-        ev.write_jsonl(bytes).expect("write to Vec cannot fail");
-    };
 
     // Controller-side per-run scratch, all preallocated: nothing in the
     // epoch loop allocates (locked by `tests/fleet_alloc.rs`).
@@ -378,16 +375,14 @@ where
             // Sum the trailing observations in ascending array order, so
             // the demand sum is bit-identical at any worker count.
             let demand_w: f64 = observed.iter().sum();
-            emit(
-                Event::FleetEpoch {
-                    time_s: start_s,
-                    epoch: k as u32,
-                    arrays: spec.arrays as u32,
-                    budget_w,
-                    demand_w,
-                },
-                &mut fleet_bytes,
-            );
+            Event::FleetEpoch {
+                time_s: start_s,
+                epoch: k as u32,
+                arrays: spec.arrays as u32,
+                budget_w,
+                demand_w,
+            }
+            .write_jsonl(&mut fleet_bytes);
 
             // Grant caps proportional to observed demand (1 W smoothing
             // keeps a sleeping array from being granted exactly zero; the
@@ -398,15 +393,13 @@ where
                 Some(b) => {
                     proportional_caps(b, &observed, &mut grant_buf);
                     for (i, &cap) in grant_buf.iter().enumerate() {
-                        emit(
-                            Event::CapGrant {
-                                time_s: start_s,
-                                array: i as u32,
-                                cap_w: cap,
-                                observed_w: observed[i],
-                            },
-                            &mut fleet_bytes,
-                        );
+                        Event::CapGrant {
+                            time_s: start_s,
+                            array: i as u32,
+                            cap_w: cap,
+                            observed_w: observed[i],
+                        }
+                        .write_jsonl(&mut fleet_bytes);
                     }
                     granted_caps.extend_from_slice(&grant_buf);
                     caps_active = true;
@@ -428,15 +421,13 @@ where
             let mut moves = 0u32;
             while move_ix < placement.moves.len() && placement.moves[move_ix].epoch == k {
                 let m = placement.moves[move_ix];
-                emit(
-                    Event::TenantMove {
-                        time_s: start_s,
-                        tenant: m.tenant,
-                        from_array: m.from,
-                        to_array: m.to,
-                    },
-                    &mut fleet_bytes,
-                );
+                Event::TenantMove {
+                    time_s: start_s,
+                    tenant: m.tenant,
+                    from_array: m.from,
+                    to_array: m.to,
+                }
+                .write_jsonl(&mut fleet_bytes);
                 moves += 1;
                 move_ix += 1;
             }
@@ -512,20 +503,18 @@ where
     }
 
     let tenant_moves = placement.moves.len() as u64;
-    emit(
-        Event::FleetSummary {
-            time_s: horizon_s,
-            total_j: fleet_energy_j,
-            budget_j,
-            cap_violation_s,
-            completed,
-            incomplete,
-            total_requests: trace.len() as u64,
-            routed_requests,
-            tenant_moves,
-        },
-        &mut fleet_bytes,
-    );
+    Event::FleetSummary {
+        time_s: horizon_s,
+        total_j: fleet_energy_j,
+        budget_j,
+        cap_violation_s,
+        completed,
+        incomplete,
+        total_requests: trace.len() as u64,
+        routed_requests,
+        tenant_moves,
+    }
+    .write_jsonl(&mut fleet_bytes);
 
     FleetReport {
         arrays: reports,

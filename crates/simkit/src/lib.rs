@@ -16,6 +16,9 @@
 //! * **Statistics** — [`Moments`], [`LatencyHistogram`], [`FixedHistogram`],
 //!   [`SlidingWindow`], [`TimeWeighted`], [`Ewma`], [`TimeSeries`].
 //! * **Energy** — [`EnergyLedger`] with per-[`EnergyComponent`] attribution.
+//! * **Text** — [`text::push_f64`], the byte-level shortest round-trip
+//!   float writer (identical to `{:?}`) behind every stream and trace
+//!   writer, with its integer companions.
 //!
 //! Nothing in this crate knows about disks or power policies; it is a
 //! general-purpose toolkit kept small enough to verify exhaustively.
@@ -30,6 +33,7 @@ mod rng;
 mod series;
 mod slab;
 mod stats;
+pub mod text;
 mod time;
 
 pub use energy::{EnergyComponent, EnergyLedger};
