@@ -1273,7 +1273,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                     .emit_with(|| telemetry::Event::FaultInjected {
                         time_s: now.as_secs(),
                         disk: ev.disk as u32,
-                        kind: ev.kind.label(),
+                        kind: ev.kind.label().into(),
                     });
             }
             match ev.kind {
@@ -1319,7 +1319,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             .emit_with(|| telemetry::Event::FaultInjected {
                 time_s: now.as_secs(),
                 disk: d as u32,
-                kind: "disk_failure",
+                kind: "disk_failure".into(),
             });
 
         let dropped = self.state.disks[d].fail(now);

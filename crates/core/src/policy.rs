@@ -440,7 +440,7 @@ impl Hibernator {
                 .telemetry
                 .emit_with(|| telemetry::Event::PolicyDecision {
                     time_s: now.as_secs(),
-                    policy: policy.name(),
+                    policy: policy.name().into(),
                     moves: out.jobs.len() as u32,
                     deferred_grace: out.deferred_grace,
                     deferred_inflight: out.deferred_inflight,

@@ -68,20 +68,27 @@ fn usage() -> ! {
 /// run held, 1 otherwise. Fleet streams (first line tagged `fleet_*`, as
 /// written by `repro fleet`) route to the fleet auditor automatically.
 fn audit_stream(path: &str) -> ! {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
+    use std::io::BufRead;
+    let cannot_read = |e: std::io::Error| -> ! {
         eprintln!("audit: cannot read {path}: {e}");
         std::process::exit(2);
-    });
-    let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
-    let is_fleet = std::str::from_utf8(first).is_ok_and(|line| line.contains("\"ev\":\"fleet_"));
+    };
+    let file = std::fs::File::open(path).unwrap_or_else(|e| cannot_read(e));
+    let mut reader = std::io::BufReader::new(file);
+    // The stream is read one line at a time; the first line (or as much
+    // of it as the reader's first buffer holds) picks the auditor.
+    const FLEET_TAG: &[u8] = b"\"ev\":\"fleet_";
+    let head = reader.fill_buf().unwrap_or_else(|e| cannot_read(e));
+    let first = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    let is_fleet = first.windows(FLEET_TAG.len()).any(|w| w == FLEET_TAG);
     let outcome = if is_fleet {
-        let run = telemetry::audit::audit_fleet_bytes(&bytes).unwrap_or_else(|e| {
+        let run = telemetry::audit::audit_fleet_read(reader).unwrap_or_else(|e| {
             eprintln!("audit: malformed fleet stream: {e}");
             std::process::exit(1);
         });
         telemetry::audit::AuditOutcome { runs: vec![run] }
     } else {
-        telemetry::audit::audit_bytes(&bytes).unwrap_or_else(|e| {
+        telemetry::audit::audit_read(reader).unwrap_or_else(|e| {
             eprintln!("audit: malformed stream: {e}");
             std::process::exit(1);
         })

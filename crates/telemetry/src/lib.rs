@@ -21,11 +21,13 @@
 //! * Fixed-bucket latency and queue-depth histograms
 //!   (`simkit::FixedHistogram`), updated inline as events are recorded and
 //!   reported in the run's trailer.
-//! * [`audit`] — a replay auditor that splits each line into its
-//!   top-level fields in one pass, re-derives energy totals, power
+//! * [`audit`] — a replay auditor that types each line with
+//!   [`Event::parse_jsonl`] (the exact inverse of `write_jsonl`), feeds it
+//!   to an incremental [`audit::Auditor`], re-derives energy totals, power
 //!   integrals, migration concurrency, dead-disk service, and the
-//!   goal-violation fraction from the raw stream, and reconciles them
-//!   against the stream's own trailer.
+//!   goal-violation fraction from the replayed events, and reconciles them
+//!   against the stream's own trailer. It reads a stream one line at a
+//!   time, so its memory does not grow with the stream.
 //!
 //! Determinism: events are recorded by a single simulation thread in
 //! simulation-time order, and the harness flushes per-run streams sorted

@@ -15,18 +15,19 @@
 //! write/read cycle exactly; they build lines in one byte buffer and hand
 //! it to the sink in 64 KiB pieces.
 //!
-//! All three readers share one line loop: every line is read into the same
-//! reused buffer, split into fields without collecting them, and numbered
-//! from 1 (blank lines included), so no line allocates. A UTF-8 byte-order
-//! mark at the start of line 1 is skipped. Readers validate as they parse
-//! and report the offending line number in errors, because traces are
-//! exactly the kind of input users hand-edit.
+//! All three readers share one line loop, [`simkit::text::LineReader`],
+//! which the telemetry auditor also reads through: every line is read into
+//! the same reused buffer, split into fields without collecting them, and
+//! numbered from 1 (blank lines included), so no line allocates. A UTF-8
+//! byte-order mark at the start of line 1 is skipped. Readers validate as
+//! they parse and report the offending line number in errors, because
+//! traces are exactly the kind of input users hand-edit.
 
 use crate::request::{Trace, VolumeIoKind, VolumeRequest};
-use simkit::text::{push_f64, push_u64};
+use simkit::text::{push_f64, push_u64, LineReader};
 use simkit::SimTime;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::str::FromStr;
 
 /// Errors raised by trace parsing.
@@ -107,50 +108,6 @@ pub fn write_csv<W: Write>(trace: &Trace, w: W) -> Result<(), TraceIoError> {
     })
 }
 
-/// The line loop every reader shares, over one reused buffer. Lines are
-/// numbered from 1, blank ones included, and lose their `\n` or `\r\n`,
-/// as with [`BufRead::lines`]; line 1 also loses a UTF-8 byte-order mark
-/// (U+FEFF, which `str::trim` keeps). A line that is not UTF-8 is an
-/// `InvalidData` I/O error, as with `lines`.
-struct LineReader<R> {
-    inner: BufReader<R>,
-    buf: Vec<u8>,
-    lineno: usize,
-}
-
-impl<R: Read> LineReader<R> {
-    fn new(r: R) -> Self {
-        LineReader {
-            inner: BufReader::new(r),
-            buf: Vec::new(),
-            lineno: 0,
-        }
-    }
-
-    /// The next line and its number, or `None` at the end of the input.
-    fn next_line(&mut self) -> Result<Option<(usize, &str)>, TraceIoError> {
-        self.buf.clear();
-        if self.inner.read_until(b'\n', &mut self.buf)? == 0 {
-            return Ok(None);
-        }
-        self.lineno += 1;
-        let mut line = self.buf.as_slice();
-        if let Some(rest) = line.strip_suffix(b"\n") {
-            line = rest.strip_suffix(b"\r").unwrap_or(rest);
-        }
-        if self.lineno == 1 {
-            line = line.strip_prefix("\u{feff}".as_bytes()).unwrap_or(line);
-        }
-        let text = std::str::from_utf8(line).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            )
-        })?;
-        Ok(Some((self.lineno, text)))
-    }
-}
-
 /// Splits `line` at commas into exactly `N` fields, or returns how many
 /// fields it has.
 fn split_fields<const N: usize>(line: &str) -> Result<[&str; N], usize> {
@@ -186,7 +143,7 @@ fn read_requests<R: Read>(
     r: R,
     mut parse: impl FnMut(usize, &str) -> Result<Option<VolumeRequest>, TraceIoError>,
 ) -> Result<Trace, TraceIoError> {
-    let mut lines = LineReader::new(r);
+    let mut lines = LineReader::new(BufReader::new(r));
     let mut requests = Vec::new();
     while let Some((lineno, line)) = lines.next_line()? {
         requests.extend(parse(lineno, line)?);
@@ -325,7 +282,7 @@ const SECTOR_BYTES: u64 = 512;
 /// captures are not globally time-sorted, so the collecting
 /// [`read_msr_csv`] sorts; a raw `MsrReader` is **not** a `TraceSource`.
 pub struct MsrReader<R: Read> {
-    lines: LineReader<R>,
+    lines: LineReader<BufReader<R>>,
     first_ticks: Option<u64>,
     done: bool,
 }
@@ -334,7 +291,7 @@ impl<R: Read> MsrReader<R> {
     /// Wraps a byte stream of MSR-format CSV.
     pub fn new(r: R) -> Self {
         MsrReader {
-            lines: LineReader::new(r),
+            lines: LineReader::new(BufReader::new(r)),
             first_ticks: None,
             done: false,
         }
@@ -415,6 +372,7 @@ pub fn read_msr_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
 mod tests {
     use super::*;
     use crate::generator::WorkloadSpec;
+    use std::io::BufRead;
 
     fn sample() -> Trace {
         WorkloadSpec::oltp(30.0, 20.0).generate(5)
