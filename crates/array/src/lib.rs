@@ -27,6 +27,7 @@ mod policy;
 mod remap;
 mod sim;
 mod stats;
+mod tenants;
 mod types;
 
 pub use heat::{append_cold_tail, HeatMap, RankScratch};

@@ -65,6 +65,7 @@ use crate::migration::{MigrationJob, MigrationStats, PieceOutcome};
 use crate::policy::{ArrayState, PowerPolicy, WakeMarks};
 use crate::remap::RemapTable;
 use crate::stats::ArrayStats;
+use crate::tenants::TenantBook;
 use crate::types::{ArrayConfig, ChunkId, DiskId, Redundancy};
 use crate::MigrationEngine;
 use diskmodel::{Disk, DiskRequest, IoKind, RequestClass};
@@ -98,7 +99,8 @@ pub struct RunOptions {
     /// simulator.
     pub cache: Option<cache::CacheConfig>,
     /// Tenant sharding of the volume: when `Some`, the driver keeps one
-    /// response histogram per tenant in [`RunReport::tenant_latency`].
+    /// response histogram per tenant served in
+    /// [`RunReport::tenant_latency`].
     /// `None` (the default) records nothing per-tenant and leaves the run
     /// bit-identical to a driver without tenant accounting — the
     /// histograms never influence event order or timing either way.
@@ -188,12 +190,11 @@ pub struct RunReport {
     pub cache: Option<cache::CacheStats>,
     /// The serialized telemetry stream, when capture was enabled.
     pub telemetry: Option<telemetry::RunStream>,
-    /// Per-tenant response histograms, indexed by tenant id — empty
-    /// unless [`RunOptions::tenants`] sharded the volume. Slots run up to
-    /// the highest tenant id served (never past the last tenant); a
-    /// histogram allocates its bucket storage on its first sample, so a
-    /// slot for a tenant this array never served costs only the struct.
-    pub tenant_latency: Vec<LatencyHistogram>,
+    /// Per-tenant response histograms as `(tenant, histogram)` pairs,
+    /// sorted by tenant id, one for each tenant this array completed a
+    /// request for (so none is empty) — empty unless
+    /// [`RunOptions::tenants`] sharded the volume.
+    pub tenant_latency: Vec<(u32, LatencyHistogram)>,
 }
 
 impl RunReport {
@@ -396,7 +397,7 @@ pub struct Simulation<'a, P: PowerPolicy> {
     /// accrual schedule (and its float rounding) untouched by observers.
     last_power_w: f64,
     /// Per-tenant response histograms (empty without tenant sharding).
-    tenant_lat: Vec<LatencyHistogram>,
+    tenant_lat: TenantBook,
 }
 
 impl<'a, P: PowerPolicy> Simulation<'a, P> {
@@ -514,7 +515,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             rebuilds_drained: 0,
             started: false,
             last_power_w: 0.0,
-            tenant_lat: Vec::new(),
+            tenant_lat: TenantBook::default(),
         }
     }
 
@@ -1503,20 +1504,12 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     }
 
     /// Books one completed response into its tenant's histogram. No-op
-    /// without tenant sharding. Slots grow on first touch up to the
-    /// highest tenant id seen; a slot for a tenant never served costs only
-    /// the histogram struct, since buckets are allocated on first sample.
+    /// without tenant sharding.
     #[inline]
     fn record_tenant(&mut self, tenant: u32, resp_s: f64) {
-        if self.opts.tenants.is_none() {
-            return;
+        if self.opts.tenants.is_some() {
+            self.tenant_lat.record(tenant, resp_s);
         }
-        let ix = tenant as usize;
-        if self.tenant_lat.len() <= ix {
-            self.tenant_lat
-                .resize_with(ix + 1, LatencyHistogram::new_latency);
-        }
-        self.tenant_lat[ix].record(resp_s);
     }
 
     /// Re-synchronises scheduled disk wakes.
@@ -1784,7 +1777,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
             events_processed: self.events_processed,
             cache: self.dram.is_some().then_some(self.cache_stats),
             telemetry: recorder.into_stream(),
-            tenant_latency: self.tenant_lat,
+            tenant_latency: self.tenant_lat.into_sorted(),
         };
         (report, policy)
     }

@@ -142,7 +142,9 @@ pub struct FleetReport {
     pub routed_requests: u64,
     /// Tenant moves performed.
     pub tenant_moves: u64,
-    /// Per-tenant response histograms merged across arrays.
+    /// Per-tenant response histograms merged across arrays, indexed by
+    /// tenant id up to the highest id any array served; a tenant no array
+    /// served has an empty histogram.
     pub tenant_latency: Vec<LatencyHistogram>,
     /// The arbiter's decision log, one record per fleet epoch.
     pub epochs: Vec<EpochRecord>,
@@ -492,13 +494,17 @@ where
     let fleet_energy_j: f64 = reports.iter().map(|r| r.energy.total_joules()).sum();
     let completed: u64 = reports.iter().map(|r| r.completed).sum();
     let incomplete: u64 = reports.iter().map(|r| r.incomplete).sum();
-    let mut tenant_latency: Vec<LatencyHistogram> = Vec::new();
+    // Dense over tenant ids up to the highest one any array served.
+    let tenants = reports
+        .iter()
+        .filter_map(|r| r.tenant_latency.last())
+        .map(|&(t, _)| t as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut tenant_latency = vec![LatencyHistogram::new_latency(); tenants];
     for r in &reports {
-        if tenant_latency.len() < r.tenant_latency.len() {
-            tenant_latency.resize_with(r.tenant_latency.len(), LatencyHistogram::new_latency);
-        }
-        for (t, h) in r.tenant_latency.iter().enumerate() {
-            tenant_latency[t].merge(h);
+        for (t, h) in &r.tenant_latency {
+            tenant_latency[*t as usize].merge(h);
         }
     }
 

@@ -21,6 +21,11 @@ use simkit::DetRng;
 pub struct ZipfExtents {
     /// Cumulative probability by rank, for inverse-CDF sampling.
     cdf: Vec<f64>,
+    /// Guide table into `cdf`: `guide[j]` is the first rank whose CDF
+    /// value is at least `j / guide.len()`. The length is a power of two
+    /// at least the extent count, so `u · len` is exact and a sample
+    /// steps past about one rank on average.
+    guide: Vec<u32>,
     /// rank → extent index permutation.
     rank_to_extent: Vec<u32>,
     /// Sectors per extent.
@@ -48,10 +53,21 @@ impl ZipfExtents {
         for c in &mut cdf {
             *c /= total;
         }
+        let m = cdf.len().next_power_of_two();
+        let mut guide = Vec::with_capacity(m);
+        let mut rank = 0;
+        for j in 0..m {
+            let at_least = j as f64 / m as f64;
+            while rank < cdf.len() && cdf[rank] < at_least {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
         let mut rank_to_extent: Vec<u32> = (0..extents).collect();
         rng.shuffle(&mut rank_to_extent);
         ZipfExtents {
             cdf,
+            guide,
             rank_to_extent,
             extent_sectors,
         }
@@ -74,13 +90,28 @@ impl ZipfExtents {
 
     /// Samples a rank by inverse CDF (0 = hottest).
     pub fn sample_rank(&self, rng: &mut DetRng) -> u32 {
-        let u = rng.uniform01();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf has no NaN"))
-        {
-            Ok(i) => i as u32,
-            Err(i) => (i as u32).min(self.extents() - 1),
+        self.rank_of(rng.uniform01())
+    }
+
+    /// The inverse CDF at `u` ∈ [0, 1): the last rank whose CDF value
+    /// equals `u` if one does, else the first whose value exceeds it
+    /// (the last rank if none does) — what a binary search of the CDF
+    /// answers, found in O(1) expected steps from the guide table.
+    fn rank_of(&self, u: f64) -> u32 {
+        let m = self.guide.len();
+        let mut i = self.guide[((u * m as f64) as usize).min(m - 1)] as usize;
+        // Never start past the answer, whatever rounding did to `u · m`.
+        while i > 0 && self.cdf[i - 1] > u {
+            i -= 1;
+        }
+        while i < self.cdf.len() && self.cdf[i] <= u {
+            i += 1;
+        }
+        // `i` ranks have a CDF value at most `u`.
+        if i > 0 && self.cdf[i - 1] == u {
+            (i - 1) as u32
+        } else {
+            (i as u32).min(self.extents() - 1)
         }
     }
 
@@ -159,6 +190,52 @@ mod tests {
 
     fn rng() -> DetRng {
         DetRng::new(5, "pop-test")
+    }
+
+    /// The binary search of the CDF that `rank_of` replaced.
+    fn rank_by_search(z: &ZipfExtents, u: f64) -> u32 {
+        match z
+            .cdf
+            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf has no NaN"))
+        {
+            Ok(i) => i as u32,
+            Err(i) => (i as u32).min(z.extents() - 1),
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_the_binary_search_everywhere() {
+        let below_one = 1.0f64.next_down();
+        for theta in [0.0, 0.8, 1.0, 1.2, 8.0] {
+            for extents in [1, 2, 64, 16_384, 24_576] {
+                let mut r = rng();
+                let z = ZipfExtents::new(&mut r, extents, 8, theta);
+                let m = z.guide.len();
+                let mut us: Vec<f64> = vec![0.0, below_one];
+                for j in 0..m {
+                    let t = j as f64 / m as f64;
+                    us.extend([t.next_down(), t, t.next_up()]);
+                }
+                for &c in &z.cdf {
+                    us.extend([c.next_down(), c, c.next_up()]);
+                }
+                us.extend((0..20_000).map(|_| r.uniform01()));
+                let mut ties = 0;
+                for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    let want = rank_by_search(&z, u);
+                    assert_eq!(
+                        z.rank_of(u),
+                        want,
+                        "theta {theta}, {extents} extents, u {u:e}"
+                    );
+                    ties += usize::from(z.cdf[want as usize] == u);
+                }
+                assert!(
+                    extents == 1 || ties > 0,
+                    "theta {theta}, {extents} extents: no exact CDF hit"
+                );
+            }
+        }
     }
 
     #[test]

@@ -275,7 +275,9 @@ const SECTOR_BYTES: u64 = 512;
 ///
 /// * times are made relative to the **first** record (clamped at zero
 ///   for records time-stamped before it, which real captures contain);
-/// * byte offsets/sizes convert to 512-byte sectors (sizes round up);
+/// * a byte range converts to every 512-byte sector it touches, a
+///   partial first and last sector included (a range past `u64::MAX`
+///   is an error);
 /// * `Hostname`, `DiskNumber` and `ResponseTime` are ignored.
 ///
 /// Errors carry the 1-based line number and fuse the iterator. MSR
@@ -334,15 +336,21 @@ fn parse_msr_line(
     if size == 0 {
         return Err(bad("zero-length request".into()));
     }
-    let sectors = size.div_ceil(SECTOR_BYTES);
-    let sectors: u32 = sectors
+    // Every sector the byte range touches, including a partial first one.
+    let end = offset.checked_add(size).ok_or_else(|| {
+        bad(format!(
+            "request of {size} bytes at offset {offset} overflows"
+        ))
+    })?;
+    let sector = offset / SECTOR_BYTES;
+    let sectors: u32 = (end.div_ceil(SECTOR_BYTES) - sector)
         .try_into()
         .map_err(|_| bad(format!("request of {size} bytes too large")))?;
     let first = *first_ticks.get_or_insert(ticks);
     let rel_s = ticks.saturating_sub(first) as f64 * FILETIME_TICK_S;
     Ok(VolumeRequest {
         time: SimTime::from_secs(rel_s),
-        sector: offset / SECTOR_BYTES,
+        sector,
         sectors,
         kind,
     })
@@ -547,6 +555,46 @@ mod tests {
         assert_eq!(tr.requests[1].kind, VolumeIoKind::Write);
         assert_eq!(tr.requests[2].time.as_secs(), 1.0);
         assert_eq!(tr.requests[2].sector, 0);
+    }
+
+    #[test]
+    fn msr_reader_counts_every_sector_a_misaligned_request_touches() {
+        let data = [
+            msr_line(0, "Read", 1_000, 512),  // bytes 1000..1512: sectors 1, 2
+            msr_line(1, "Read", 511, 2),      // bytes 511..513: sectors 0, 1
+            msr_line(2, "Write", 1_024, 100), // aligned start, ragged size
+            msr_line(3, "Read", 513, 1_023),  // bytes 513..1536: sectors 1, 2
+            msr_line(4, "Read", 0, 4_096),    // aligned: 8 sectors
+        ]
+        .concat();
+        let got: Vec<(u64, u32)> = read_msr_csv(data.as_bytes())
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| (r.sector, r.sectors))
+            .collect();
+        assert_eq!(got, vec![(1, 2), (0, 2), (2, 1), (1, 2), (0, 8)]);
+
+        // A byte range past the end of u64 is a typed error on its line.
+        let max = u64::MAX;
+        let data = [
+            msr_line(0, "Read", 0, 512),
+            msr_line(1, "Read", max - 100, 512),
+        ]
+        .concat();
+        match read_msr_csv(data.as_bytes()) {
+            Err(TraceIoError::Parse(2, msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("want a parse error on line 2, got {other:?}"),
+        }
+        let data = msr_line(0, "Write", max, 1);
+        assert!(matches!(
+            read_msr_csv(data.as_bytes()),
+            Err(TraceIoError::Parse(1, _))
+        ));
+        // The last byte of the address space still reads.
+        let got = read_msr_csv(msr_line(0, "Read", max - 1, 1).as_bytes()).unwrap();
+        assert_eq!(got.requests[0].sector, (max - 1) / 512);
+        assert_eq!(got.requests[0].sectors, 1);
     }
 
     #[test]
@@ -819,7 +867,12 @@ mod tests {
             if size == 0 {
                 return Err(bad("zero-length request".into()));
             }
-            let sectors = size.div_ceil(SECTOR_BYTES);
+            let end = offset.checked_add(size).ok_or_else(|| {
+                bad(format!(
+                    "request of {size} bytes at offset {offset} overflows"
+                ))
+            })?;
+            let sectors = end.div_ceil(SECTOR_BYTES) - offset / SECTOR_BYTES;
             let sectors: u32 = sectors
                 .try_into()
                 .map_err(|_| bad(format!("request of {size} bytes too large")))?;

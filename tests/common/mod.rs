@@ -69,8 +69,15 @@ pub fn fingerprint(r: &RunReport) -> Vec<u64> {
             opt_bits(*failed_at_s),
         ]);
     }
-    for h in &r.tenant_latency {
+    // Dense over tenant ids up to the highest served: an unserved id
+    // reads as an empty histogram.
+    let mut next = 0;
+    for (t, h) in &r.tenant_latency {
+        for _ in next..*t {
+            v.extend([0, opt_bits(None)]);
+        }
         v.extend([h.count(), opt_bits(h.quantile(0.5))]);
+        next = t + 1;
     }
     for (t, mean) in r.response_series.mean_points() {
         v.extend([t.to_bits(), mean.to_bits()]);

@@ -1,18 +1,24 @@
 //! Memory lockdown for a fleet: per-tenant accounting and per-chunk state.
 //!
-//! Every array keeps one latency histogram slot per tenant id up to the
-//! highest id it has served, and round-robin placement hands array `i`
-//! tenants `i`, `i + arrays`, …, so most slots belong to tenants the array
-//! never serves. Those slots must cost only their struct, not their
-//! buckets: a histogram allocates bucket storage on its first sample.
+//! Round-robin placement hands array `i` tenants `i`, `i + arrays`, …, so
+//! an array serves a few of the fleet's tenants, with ids up to the
+//! fleet's highest. An array keeps a latency histogram only for the
+//! tenants it served, so its memory must not grow with the fleet's tenant
+//! count beyond those tenants' buckets.
 //!
-//! The probe runs the same trace through the same 32-array fleet twice,
-//! sharded into 32 and then 512 tenants, and compares the peak live heap
-//! of the two runs. Everything else is held fixed: Base policy (no
-//! planner state), rebalancing off (constant placement rows), one power
-//! budget.
+//! The first probe runs one array twice over a trace that reads a fixed
+//! handful of spots, under the tenant sharding of a small and of a
+//! 1,024-times larger fleet: the same number of tenants is served, with
+//! ids spread across the larger fleet's range, and the peak heap must not
+//! move.
 //!
-//! A second probe runs one Hibernator fleet twice over the same trace, on
+//! The second runs the same trace through the same 32-array fleet twice,
+//! sharded into 32 and then 512 tenants, every one of them served, and
+//! bounds the growth of the peak live heap by the served tenants' buckets
+//! and rows. Everything else is held fixed: Base policy (no planner
+//! state), rebalancing off (constant placement rows), one power budget.
+//!
+//! A third probe runs one Hibernator fleet twice over the same trace, on
 //! a volume and on one four times larger, and bounds the per-array growth
 //! of the peak heap: an array's planner state (remap table, heat map,
 //! ranking) must scale with the chunks it touches, not with the volume.
@@ -25,12 +31,12 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use array::{ArrayConfig, BasePolicy, RunOptions};
+use array::{run_policy, ArrayConfig, BasePolicy, RunOptions};
 use fleet::{run_fleet, BudgetSchedule, FleetSpec};
 use hibernator::{Hibernator, HibernatorConfig};
 use parallel::Pool;
-use simkit::{LatencyHistogram, SimDuration};
-use workload::{Trace, WorkloadSpec};
+use simkit::{LatencyHistogram, SimDuration, SimTime};
+use workload::{Trace, VolumeIoKind, VolumeRequest, WorkloadSpec};
 
 /// [`System`] with a live-bytes gauge and its high-water mark.
 struct Metered;
@@ -86,6 +92,103 @@ const MANY_TENANTS: u32 = 512;
 /// One latency histogram's bucket storage: the 900 `u64` counters of
 /// `LatencyHistogram::new_latency`.
 const BUCKET_BYTES: usize = 900 * 8;
+/// A served tenant's rows besides its buckets: its `(tenant, histogram)`
+/// entry and `(tenant, slot)` index entry in the array that served it,
+/// each up to twice over for amortized `Vec` growth, and its histogram in
+/// the fleet's dense merged row.
+const TENANT_ROW_BYTES: usize = 2
+    * (size_of::<(u32, LatencyHistogram)>() + size_of::<(u32, u32)>())
+    + size_of::<LatencyHistogram>();
+
+/// Spots the single-array probe reads, one per tenant of the small fleet.
+const SPOTS: u32 = 16;
+/// How many times more tenants the large fleet has.
+const FLEET_SCALE: u32 = 1024;
+/// Peak-heap growth the single-array probe allows besides the buckets of
+/// extra served tenants (there are none). A histogram slot for every
+/// tenant id up to the highest served costs ~1.3 MiB here.
+const ARRAY_GROWTH_SLACK: usize = 1024;
+
+/// The single-array probe's geometry: [`SPOTS`] tenant shards' worth of
+/// volume.
+fn probe_array() -> ArrayConfig {
+    let mut c = ArrayConfig::default_for_volume(1 << 30);
+    c.disks = 4;
+    c
+}
+
+/// One read every 2 s, cycling over [`SPOTS`] evenly spaced spots.
+fn spot_trace(cfg: &ArrayConfig) -> Trace {
+    let stride = cfg.volume_sectors() / u64::from(SPOTS);
+    let requests = (0..300u32)
+        .map(|i| VolumeRequest {
+            time: SimTime::from_secs(f64::from(2 * i)),
+            sector: u64::from(i % SPOTS) * stride,
+            sectors: 8,
+            kind: VolumeIoKind::Read,
+        })
+        .collect();
+    Trace::from_requests(requests)
+}
+
+/// Peak live heap above the starting level of one array run under the
+/// tenant sharding a `tenants`-tenant fleet gives it, and the number of
+/// tenants it served and the highest of their ids.
+fn array_peak(tenants: u32, cfg: &ArrayConfig, tr: &Trace) -> (usize, usize, u32) {
+    let shards = FleetSpec::new(
+        1,
+        tenants,
+        cfg.clone(),
+        RunOptions::for_horizon(HORIZON_S),
+        BudgetSchedule::unlimited(),
+    )
+    .tenant_shards();
+    let mut opts = RunOptions::for_horizon(HORIZON_S);
+    opts.tenants = Some(shards);
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    let report = run_policy(cfg.clone(), BasePolicy, tr, opts);
+    let peak = PEAK.load(Ordering::Relaxed) - start;
+    assert!(report.completed > 0, "probe run did no work");
+    let top = report.tenant_latency.last().map_or(0, |&(t, _)| t);
+    (peak, report.tenant_latency.len(), top)
+}
+
+#[test]
+fn an_array_holds_only_the_tenants_it_served() {
+    let _probe = PROBE.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = probe_array();
+    let tr = spot_trace(&cfg);
+    let _ = array_peak(SPOTS, &cfg, &tr);
+
+    let (few, few_served, few_top) = array_peak(SPOTS, &cfg, &tr);
+    let (many, many_served, many_top) = array_peak(SPOTS * FLEET_SCALE, &cfg, &tr);
+    assert_eq!(few_served, SPOTS as usize, "each spot is its own tenant");
+    assert_eq!(few_top, SPOTS - 1);
+    assert_eq!(
+        many_served, SPOTS as usize,
+        "the same spots are as many tenants"
+    );
+    assert_eq!(
+        many_top,
+        (SPOTS - 1) * FLEET_SCALE,
+        "ids spread across the larger fleet"
+    );
+    let growth = many.saturating_sub(few);
+    let bound = many_served.saturating_sub(few_served) * (BUCKET_BYTES + TENANT_ROW_BYTES)
+        + ARRAY_GROWTH_SLACK;
+    println!(
+        "array peak: {few} B @ {SPOTS} tenants, {many} B @ {} tenants \
+         ({many_served} served, top id {many_top}); growth {growth} B, bound {bound} B",
+        SPOTS * FLEET_SCALE
+    );
+    assert!(
+        growth <= bound,
+        "an array's peak heap grew by {growth} B when the fleet's tenant count grew \
+         {FLEET_SCALE}x with the same {many_served} tenants served (bound {bound} B): the \
+         array keeps rows for tenants it never served"
+    );
+}
 
 fn trace() -> Trace {
     let mut spec = WorkloadSpec::oltp(HORIZON_S, 40.0);
@@ -146,14 +249,14 @@ fn unserved_tenant_slots_cost_no_buckets() {
     // - buckets: a served tenant owns at most two bucket arrays at once,
     //   one in the array that served it and one in the fleet's merged
     //   per-tenant accumulator: `2 * extra * BUCKET_BYTES` (~6.9 MB);
-    // - slots: each array may hold `extra` more histogram structs, and
-    //   amortized `Vec` growth may leave up to twice that capacity:
-    //   `2 * ARRAYS * extra * size_of::<LatencyHistogram>()` (~2.7 MB).
-    // Placement rows and heat counters add a few bytes per tenant. Giving
-    // every slot up to an array's highest tenant id its buckets instead
-    // costs about `ARRAYS * extra / 2` bucket arrays (~55 MB) on top.
+    // - rows: `extra * TENANT_ROW_BYTES` (~0.14 MB).
+    // Placement rows and heat counters add a few bytes per tenant. A
+    // histogram slot in every array for each tenant id up to the highest
+    // it served costs about `ARRAYS * extra` structs (~1.4 MB) on top, and
+    // giving those slots their buckets about `ARRAYS * extra / 2` bucket
+    // arrays (~55 MB).
     let extra = (MANY_TENANTS - FEW_TENANTS) as usize;
-    let bound = 2 * extra * BUCKET_BYTES + 2 * ARRAYS * extra * size_of::<LatencyHistogram>();
+    let bound = extra * (2 * BUCKET_BYTES + TENANT_ROW_BYTES);
     println!(
         "peak growth: {few} B @ {FEW_TENANTS} tenants ({few_served} served), \
          {many} B @ {MANY_TENANTS} tenants ({many_served} served); \
@@ -178,8 +281,9 @@ const VOLUME_FACTOR: u32 = 4;
 /// Per-array peak-heap growth allowed when the volume grows fourfold
 /// under the same trace. Paged per-chunk tables keep one 4-byte directory
 /// entry per 128 chunks, so the remap table and the heat map each add
-/// 1.5 KiB; the fleet's tenant-indexed rows grow with the tenant count,
-/// ~2 KiB per array here. Dense per-chunk state adds ~2 MiB.
+/// 1.5 KiB; the fleet's own tenant-indexed rows (placement and heat per
+/// epoch) grow with the tenant count, ~2 KiB per array here. Dense
+/// per-chunk state adds ~2 MiB.
 const PER_ARRAY_GROWTH_BOUND: usize = 8 * 1024;
 
 /// An OLTP trace over the first [`SMALL_CHUNKS`] 1 MiB chunks.
