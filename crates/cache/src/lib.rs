@@ -253,86 +253,150 @@ impl DramCache {
 /// Directory for a cache-disk tier: an LRU map from chunk to a
 /// `(disk, slot)` location on one of the dedicated cache disks.
 ///
-/// This is the tier MAID routes read hits through. The `HashMap` is only
-/// ever point-queried (never iterated), so its seeded layout cannot leak
-/// into simulation state.
+/// This is the tier MAID routes every request through, so both
+/// operations are O(1) and hash nothing: a chunk-indexed table finds a
+/// chunk's node, and the LRU order is a doubly linked list threaded
+/// through one node per occupied slot.
 #[derive(Debug)]
 pub struct TierDirectory {
-    /// chunk → (cache disk, slot)
-    entries: std::collections::HashMap<u32, (u32, u32)>,
-    /// LRU order: front = coldest. Vec-based LRU is fine at these sizes
-    /// (thousands of entries, touched per request).
-    lru: Vec<u32>,
-    capacity: usize,
-    /// Free (disk, slot) pairs, handed out disk-0-first, low slots first.
-    free: Vec<(u32, u32)>,
+    /// chunk → index of its node in `nodes`, or [`NIL`]; grown to the
+    /// highest chunk inserted.
+    node_of: Vec<u32>,
+    /// One node per occupied slot. Node `i` owns the `i`-th slot handed
+    /// out — disk-0-first, low slots first — for as long as the directory
+    /// lives; an eviction only hands its node to the incoming chunk.
+    nodes: Vec<TierNode>,
+    /// Coldest node (next to evict), or [`NIL`] when empty.
+    head: u32,
+    /// Hottest node, or [`NIL`] when empty.
+    tail: u32,
+    cache_disks: Vec<u32>,
+    chunks_per_disk: u32,
+}
+
+/// End of the [`TierDirectory`] LRU list.
+const NIL: u32 = u32::MAX;
+
+/// One occupied slot of a [`TierDirectory`], linked into its LRU order.
+#[derive(Debug, Clone, Copy)]
+struct TierNode {
+    chunk: u32,
+    loc: (u32, u32),
+    /// Next colder node, or [`NIL`].
+    prev: u32,
+    /// Next hotter node, or [`NIL`].
+    next: u32,
 }
 
 impl TierDirectory {
     /// Builds a directory over `cache_disks`, each holding
     /// `chunks_per_disk` slots.
     pub fn new(cache_disks: &[u32], chunks_per_disk: u32) -> TierDirectory {
-        let mut free = Vec::new();
-        // Reverse so pop() hands out disk-0-first, low slots first.
-        for &d in cache_disks.iter().rev() {
-            for s in (0..chunks_per_disk).rev() {
-                free.push((d, s));
-            }
-        }
         TierDirectory {
-            entries: std::collections::HashMap::new(),
-            lru: Vec::new(),
-            capacity: cache_disks.len() * chunks_per_disk as usize,
-            free,
+            node_of: Vec::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            cache_disks: cache_disks.to_vec(),
+            chunks_per_disk,
         }
     }
 
     /// The tier location holding a copy of `chunk`, if any; touches it to
     /// MRU.
     pub fn lookup(&mut self, chunk: u32) -> Option<(u32, u32)> {
-        let hit = self.entries.get(&chunk).copied();
-        if hit.is_some() {
-            // Move to MRU position.
-            if let Some(pos) = self.lru.iter().position(|&c| c == chunk) {
-                let c = self.lru.remove(pos);
-                self.lru.push(c);
-            }
+        let i = self.node(chunk)?;
+        if i != self.tail {
+            self.unlink(i);
+            self.push_hottest(i);
         }
-        hit
+        Some(self.nodes[i as usize].loc)
     }
 
     /// Inserts `chunk`, evicting the LRU entry if full. Returns the slot
-    /// the copy must be written to.
+    /// the copy must be written to. A chunk already present keeps its slot
+    /// and its place in the LRU order.
     pub fn insert(&mut self, chunk: u32) -> (u32, u32) {
-        if let Some(&loc) = self.entries.get(&chunk) {
-            return loc;
+        if let Some(i) = self.node(chunk) {
+            return self.nodes[i as usize].loc;
         }
-        let loc = if self.entries.len() < self.capacity {
-            self.free.pop().expect("capacity accounted")
+        let i = if self.nodes.len() < self.capacity() {
+            let n = self.nodes.len() as u32;
+            let loc = (
+                self.cache_disks[(n / self.chunks_per_disk) as usize],
+                n % self.chunks_per_disk,
+            );
+            self.nodes.push(TierNode {
+                chunk,
+                loc,
+                prev: NIL,
+                next: NIL,
+            });
+            n
         } else {
-            let victim = self.lru.remove(0);
-            self.entries
-                .remove(&victim)
-                .expect("victim must be present")
+            let victim = self.head;
+            assert_ne!(victim, NIL, "insert into a zero-capacity tier");
+            self.unlink(victim);
+            let node = &mut self.nodes[victim as usize];
+            self.node_of[node.chunk as usize] = NIL;
+            node.chunk = chunk;
+            victim
         };
-        self.entries.insert(chunk, loc);
-        self.lru.push(chunk);
-        loc
+        let c = chunk as usize;
+        if c >= self.node_of.len() {
+            self.node_of.resize(c + 1, NIL);
+        }
+        self.node_of[c] = i;
+        self.push_hottest(i);
+        self.nodes[i as usize].loc
+    }
+
+    /// The node holding `chunk`, if the tier has a copy.
+    fn node(&self, chunk: u32) -> Option<u32> {
+        self.node_of
+            .get(chunk as usize)
+            .copied()
+            .filter(|&i| i != NIL)
+    }
+
+    /// Detaches node `i` from the LRU list.
+    fn unlink(&mut self, i: u32) {
+        let TierNode { prev, next, .. } = self.nodes[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Links detached node `i` in as the hottest.
+    fn push_hottest(&mut self, i: u32) {
+        let node = &mut self.nodes[i as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        match self.tail {
+            NIL => self.head = i,
+            t => self.nodes[t as usize].next = i,
+        }
+        self.tail = i;
     }
 
     /// Number of chunks currently cached in the tier.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.len()
     }
 
     /// True if the tier holds no copies.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Total slots across all cache disks.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.cache_disks.len() * self.chunks_per_disk as usize
     }
 }
 
@@ -422,6 +486,137 @@ mod tests {
         };
         assert!((s.read_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().read_hit_rate(), 0.0);
+    }
+
+    /// The `Vec` LRU the linked-list directory replaced, kept as its
+    /// reference: every hit scans and shifts the order, every eviction
+    /// shifts it from the front.
+    struct VecTierDirectory {
+        entries: std::collections::HashMap<u32, (u32, u32)>,
+        /// LRU order: front = coldest.
+        lru: Vec<u32>,
+        capacity: usize,
+        /// Free (disk, slot) pairs, handed out disk-0-first, low slots first.
+        free: Vec<(u32, u32)>,
+    }
+
+    impl VecTierDirectory {
+        fn new(cache_disks: &[u32], chunks_per_disk: u32) -> Self {
+            let mut free = Vec::new();
+            for &d in cache_disks.iter().rev() {
+                for s in (0..chunks_per_disk).rev() {
+                    free.push((d, s));
+                }
+            }
+            VecTierDirectory {
+                entries: std::collections::HashMap::new(),
+                lru: Vec::new(),
+                capacity: cache_disks.len() * chunks_per_disk as usize,
+                free,
+            }
+        }
+
+        fn lookup(&mut self, chunk: u32) -> Option<(u32, u32)> {
+            let hit = self.entries.get(&chunk).copied();
+            if hit.is_some() {
+                if let Some(pos) = self.lru.iter().position(|&c| c == chunk) {
+                    let c = self.lru.remove(pos);
+                    self.lru.push(c);
+                }
+            }
+            hit
+        }
+
+        /// As `TierDirectory::insert`, also returning the evicted chunk.
+        fn insert(&mut self, chunk: u32) -> ((u32, u32), Option<u32>) {
+            if let Some(&loc) = self.entries.get(&chunk) {
+                return (loc, None);
+            }
+            let (loc, victim) = if self.entries.len() < self.capacity {
+                (self.free.pop().expect("capacity accounted"), None)
+            } else {
+                let victim = self.lru.remove(0);
+                (self.entries.remove(&victim).unwrap(), Some(victim))
+            };
+            self.entries.insert(chunk, loc);
+            self.lru.push(chunk);
+            (loc, victim)
+        }
+    }
+
+    /// The directory's chunks from coldest to hottest, walking the list.
+    fn lru_order(dir: &TierDirectory) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut i = dir.head;
+        while i != NIL {
+            out.push(dir.nodes[i as usize].chunk);
+            i = dir.nodes[i as usize].next;
+        }
+        out
+    }
+
+    /// 250 k seeded operations per capacity — MAID's lookup-then-promote,
+    /// bare lookups and re-inserts over a skewed chunk population about
+    /// twice the capacity — against the `Vec` reference. Every location,
+    /// eviction and `len` matches at every step, and the whole LRU order
+    /// matches at checkpoints.
+    #[test]
+    fn tier_directory_matches_vec_reference() {
+        let mut state = 0x7D1E_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for (disks, per_disk) in [
+            (&[3u32][..], 1u32),
+            (&[3, 4][..], 1),
+            (&[4, 5][..], 192),
+            (&[4, 5][..], 3_072),
+        ] {
+            let mut dir = TierDirectory::new(disks, per_disk);
+            let mut reference = VecTierDirectory::new(disks, per_disk);
+            let cap = dir.capacity() as u64;
+            let check_every = if cap > 64 { 997 } else { 1 };
+            let mut evictions = 0u64;
+            for step in 0..250_000u64 {
+                // Squaring a uniform draw skews hits toward low chunk ids.
+                let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                let chunk = (u * u * (2 * cap + 3) as f64) as u32;
+                match next() % 4 {
+                    0 => assert_eq!(dir.lookup(chunk), reference.lookup(chunk), "step {step}"),
+                    1 => {
+                        let (loc, victim) = reference.insert(chunk);
+                        assert_eq!(dir.insert(chunk), loc, "step {step}");
+                        if let Some(v) = victim {
+                            evictions += 1;
+                            assert_eq!(dir.node(v), None, "step {step}: {v} kept");
+                        }
+                    }
+                    _ => {
+                        let hit = reference.lookup(chunk);
+                        assert_eq!(dir.lookup(chunk), hit, "step {step}");
+                        if hit.is_none() {
+                            let (loc, victim) = reference.insert(chunk);
+                            assert_eq!(dir.insert(chunk), loc, "step {step}");
+                            if let Some(v) = victim {
+                                evictions += 1;
+                                assert_eq!(dir.node(v), None, "step {step}: {v} kept");
+                            }
+                        }
+                    }
+                }
+                assert_eq!(dir.len(), reference.entries.len(), "step {step}");
+                if step % check_every == 0 {
+                    assert_eq!(lru_order(&dir), reference.lru, "step {step}");
+                }
+            }
+            assert_eq!(lru_order(&dir), reference.lru);
+            assert!(evictions > 10_000, "capacity {cap}: {evictions} evictions");
+        }
     }
 
     // Tier-directory behavior carried over from the MAID-internal version

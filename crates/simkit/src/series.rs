@@ -67,8 +67,14 @@ impl TimeSeries {
         self.bucket_width
     }
 
+    /// The bucket index of time `t`. The cast truncates, which equals
+    /// `floor` on a non-negative quotient and skips the libm call.
+    fn bucket_index(&self, t: SimTime) -> usize {
+        (t.as_secs() / self.bucket_width.as_secs()) as usize
+    }
+
     fn bucket_for(&mut self, t: SimTime) -> &mut SeriesBucket {
-        let idx = (t.as_secs() / self.bucket_width.as_secs()).floor() as usize;
+        let idx = self.bucket_index(t);
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, SeriesBucket::default());
         }
@@ -132,6 +138,27 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The truncating bucket index equals the `floor` form it replaced on
+    /// seeded times, on every edge `k·width` and its `next_up` and
+    /// `next_down` neighbours, and on 0.
+    #[test]
+    fn truncating_bucket_index_equals_floor_form() {
+        let mut rng = crate::DetRng::new(0xB0C, "series-index");
+        for width in [0.1, 1.0, 7.3, 60.0, 300.0] {
+            let s = TimeSeries::new(SimDuration::from_secs(width));
+            let floor_form = |t: SimTime| (t.as_secs() / width).floor() as usize;
+            let mut xs = vec![0.0];
+            for k in 1..5_000 {
+                let edge = f64::from(k) * width;
+                xs.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            xs.extend((0..50_000).map(|_| rng.uniform(0.0, 86_400.0)));
+            for x in xs {
+                assert_eq!(s.bucket_index(t(x)), floor_form(t(x)), "t = {x}");
+            }
+        }
+    }
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)

@@ -57,13 +57,20 @@ impl FixedHistogram {
         self.width
     }
 
+    /// The bucket of `v` (`counts().len()` or more for the overflow
+    /// bucket). The cast truncates, which equals `floor` on the
+    /// non-negative quotient and skips the libm call.
+    fn index(&self, v: f64) -> usize {
+        (v / self.width) as usize
+    }
+
     /// Records one sample.
     ///
     /// # Panics
     /// Panics if `v` is negative or non-finite.
     pub fn record(&mut self, v: f64) {
         assert!(v >= 0.0 && v.is_finite(), "FixedHistogram: bad sample {v}");
-        let idx = (v / self.width).floor() as usize;
+        let idx = self.index(v);
         if idx < self.counts.len() {
             self.counts[idx] += 1;
         } else {
@@ -132,6 +139,28 @@ impl FixedHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The truncating bucket index equals the `floor` form it replaced on
+    /// seeded samples, on every edge `k·width` and its `next_up` and
+    /// `next_down` neighbours, on 0 and far into the overflow bucket.
+    #[test]
+    fn truncating_index_equals_floor_form() {
+        let mut rng = crate::DetRng::new(0xB0C, "fixed-index");
+        for (width, buckets) in [(0.001, 64), (0.5, 200), (10.0, 4), (3.7, 1_000)] {
+            let h = FixedHistogram::new(width, buckets);
+            let floor_form = |v: f64| (v / width).floor() as usize;
+            let mut xs = vec![0.0, 1e300, f64::MAX];
+            for k in 1..=buckets as u32 + 2 {
+                let edge = f64::from(k) * width;
+                xs.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            let top = width * buckets as f64 * 1.5;
+            xs.extend((0..50_000).map(|_| rng.uniform(0.0, top)));
+            for v in xs {
+                assert_eq!(h.index(v), floor_form(v), "v = {v}");
+            }
+        }
+    }
 
     #[test]
     fn buckets_are_half_open_and_overflow_catches_the_rest() {

@@ -75,11 +75,14 @@ impl LatencyHistogram {
         }
     }
 
+    /// The bucket of `x`. The cast truncates, which equals `floor` on the
+    /// non-negative quotient (`x > floor`, so its log is not negative) and
+    /// skips the libm call.
     fn bucket_index(&self, x: f64) -> usize {
         if x <= self.floor {
             return 0;
         }
-        let idx = ((x / self.floor).ln() / self.ln_growth).floor() as usize;
+        let idx = ((x / self.floor).ln() / self.ln_growth) as usize;
         idx.min(self.buckets - 1)
     }
 
@@ -225,6 +228,36 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The truncating bucket index equals the `floor` form it replaced on
+    /// seeded samples, on every bucket edge `floor·growthᵏ` and its `next_up`
+    /// and `next_down` neighbours, on 0 and on values below the floor.
+    #[test]
+    fn truncating_bucket_index_equals_floor_form() {
+        for h in [
+            LatencyHistogram::new_latency(),
+            LatencyHistogram::new(1e-3, 1.5, 40),
+            LatencyHistogram::new(0.25, 1.001, 5_000),
+        ] {
+            let floor_form = |x: f64| {
+                if x <= h.floor {
+                    return 0;
+                }
+                let idx = ((x / h.floor).ln() / h.ln_growth).floor() as usize;
+                idx.min(h.buckets - 1)
+            };
+            let mut xs = vec![0.0, h.floor / 3.0, h.floor.next_down(), h.floor];
+            for k in 0..=h.buckets as i32 + 2 {
+                let edge = h.floor * h.growth.powi(k);
+                xs.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            let mut rng = crate::DetRng::new(0xB0C, "latency-index");
+            xs.extend((0..100_000).map(|_| h.floor * (rng.uniform01() * 40.0).exp()));
+            for x in xs {
+                assert_eq!(h.bucket_index(x), floor_form(x), "x = {x:e}");
+            }
+        }
+    }
 
     #[test]
     fn empty_histogram() {
