@@ -264,6 +264,13 @@ impl MigrationEngine {
         std::mem::take(&mut self.records)
     }
 
+    /// True if records are waiting to be drained (never while recording
+    /// is off).
+    #[inline]
+    pub(crate) fn has_records(&self) -> bool {
+        !self.records.is_empty()
+    }
+
     fn record(&mut self, now: SimTime, job: u64, kind: MigrationRecordKind) {
         if self.recording {
             self.records.push(MigrationRecord {

@@ -65,6 +65,11 @@
 //! * MAID's cache-disk tier ([`cache::TierDirectory`]) keeps its LRU order
 //!   in an intrusive linked list, O(1) per request.
 //!
+//! With telemetry on, the disks' transition logs drain during the resync's
+//! visit of the marked disks, and each log (and the migration engine's)
+//! is taken only when it holds records, so an event that logged nothing
+//! pays one length check per disk it touched (DESIGN §10).
+//!
 //! Arrivals come from one streaming feed: [`Simulation::new`] walks a
 //! borrowed trace with a [`TraceCursor`], [`Simulation::from_source`]
 //! pulls any [`TraceSource`].
@@ -1179,16 +1184,18 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     /// job while the pump would start nothing. Only disk `d` changed, so
     /// this is the general tail minus its no-ops: the rebuild check, a
     /// resync of `d` alone (the same queue push the full resync would
-    /// make) and the instrument-log drain. When `d`'s next wake would be
-    /// the very next pop ([`Self::pops_next`]), it is not queued; its time
-    /// is returned for the caller to serve inline.
+    /// make) and the drain of `d`'s and the migration engine's logs. When
+    /// `d`'s next wake would be the very next pop ([`Self::pops_next`]),
+    /// it is not queued; its time is returned for the caller to serve
+    /// inline.
     fn finish_counted_piece(&mut self, now: SimTime, d: usize, limit: SimTime) -> Option<SimTime> {
         debug_assert!(self.state.wake_marks.is_empty(), "a handler left marks");
         self.note_rebuild_progress(now);
         let wake = self.reserve_wake(d, now);
+        self.drain_transitions(d);
         #[cfg(debug_assertions)]
         self.assert_wakes_synced();
-        self.drain_instrument_logs();
+        self.drain_migration_records();
         let (t, key) = wake?;
         if self.pops_next(t, key, limit) {
             return Some(t);
@@ -1538,14 +1545,24 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     /// disk they touch; unchanged marked disks are no-ops), and index order
     /// matches a full scan — so the push sequence into the event queue, and
     /// with it FIFO tie-breaking among same-time wakes, is the full scan's.
-    /// Debug builds verify the subset property after every drain.
+    ///
+    /// The same visit drains each marked disk's transition log into the
+    /// telemetry stream, and the migration engine's log follows. A disk can
+    /// only start a transition in a call that marks it, so this is the
+    /// disk-index order of a drain over every disk, at O(1) cost per disk
+    /// touched instead of a pass over the array on every event. Debug
+    /// builds verify the subset property and the empty logs after every
+    /// drain.
     fn resync(&mut self, now: SimTime) {
         let mut marks = std::mem::take(&mut self.state.wake_marks);
-        marks.drain_sorted(|d| self.resync_disk(d, now));
+        marks.drain_sorted(|d| {
+            self.resync_disk(d, now);
+            self.drain_transitions(d);
+        });
         self.state.wake_marks = marks;
         #[cfg(debug_assertions)]
         self.assert_wakes_synced();
-        self.drain_instrument_logs();
+        self.drain_migration_records();
     }
 
     /// Refreshes one disk's scheduled wake if its next event time moved.
@@ -1573,49 +1590,58 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     }
 
     /// Debug cross-check: after an incremental resync, no disk may have a
-    /// wake time differing from its scheduled one — that would mean a
-    /// handler mutated a disk without marking it.
+    /// wake time differing from its scheduled one or an undrained
+    /// transition record — either would mean a handler mutated a disk
+    /// without marking it.
     #[cfg(debug_assertions)]
     fn assert_wakes_synced(&self) {
         for d in 0..self.state.disks.len() {
-            assert_eq!(
-                self.state.disks[d].next_event_time(),
-                self.scheduled[d],
+            let disk = &self.state.disks[d];
+            assert!(
+                disk.next_event_time() == self.scheduled[d] && !disk.has_transitions(),
                 "dirty-disk tracking missed disk {d}: a handler changed its state without \
                  marking it (per-event policy hooks must use ArrayState::request_speed)"
             );
         }
     }
 
-    /// Forwards instrument-local logs (per-disk transition records, then
-    /// migration lifecycle records, in disk-index/engine order) into the
-    /// telemetry stream. Every driver handler ends in [`Self::resync`],
-    /// which calls this, so the logs only ever hold records stamped with
-    /// the current event time — the stream stays time-ordered. No-op (one
-    /// branch) when telemetry is disabled.
-    fn drain_instrument_logs(&mut self) {
-        if !self.state.telemetry.is_enabled() {
+    /// Forwards disk `d`'s transition records into the telemetry stream.
+    ///
+    /// Instrument-local logs (these, then the migration engine's) are
+    /// drained at the end of every driver handler, so they only ever hold
+    /// records stamped with the current event time — the stream stays
+    /// time-ordered. Recording is on only while telemetry is, so with
+    /// telemetry off the log is always empty and this is one branch.
+    fn drain_transitions(&mut self, d: usize) {
+        use diskmodel::TransitionCause;
+        if !self.state.disks[d].has_transitions() {
             return;
         }
+        for r in self.state.disks[d].drain_transitions() {
+            self.state
+                .telemetry
+                .emit(telemetry::Event::SpeedTransition {
+                    time_s: r.time_s,
+                    disk: d as u32,
+                    from: r.from,
+                    to: r.to,
+                    reason: match r.cause {
+                        TransitionCause::Policy => telemetry::TransitionReason::Policy,
+                        TransitionCause::DemandWake => telemetry::TransitionReason::DemandWake,
+                        TransitionCause::Latched => telemetry::TransitionReason::Latched,
+                    },
+                    stretched: r.stretched,
+                });
+        }
+    }
+
+    /// Forwards the migration engine's lifecycle records into the
+    /// telemetry stream, after the disks' transitions (see
+    /// [`Self::drain_transitions`]); one branch when it logged nothing.
+    fn drain_migration_records(&mut self) {
         use crate::migration::MigrationRecordKind as MK;
-        use diskmodel::TransitionCause;
-        for d in 0..self.state.disks.len() {
-            for r in self.state.disks[d].drain_transitions() {
-                self.state
-                    .telemetry
-                    .emit(telemetry::Event::SpeedTransition {
-                        time_s: r.time_s,
-                        disk: d as u32,
-                        from: r.from,
-                        to: r.to,
-                        reason: match r.cause {
-                            TransitionCause::Policy => telemetry::TransitionReason::Policy,
-                            TransitionCause::DemandWake => telemetry::TransitionReason::DemandWake,
-                            TransitionCause::Latched => telemetry::TransitionReason::Latched,
-                        },
-                        stretched: r.stretched,
-                    });
-            }
+        if !self.state.migrator.has_records() {
+            return;
         }
         for r in self.state.migrator.drain_records() {
             let ev = match r.kind {
@@ -1662,7 +1688,10 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
     /// [`Simulation::step_until`] call it once stepping is done.
     pub fn finish(mut self) -> (RunReport, P) {
         let horizon = self.opts.horizon;
-        self.drain_instrument_logs();
+        for d in 0..self.state.disks.len() {
+            self.drain_transitions(d);
+        }
+        self.drain_migration_records();
         let per_disk_energy: Vec<EnergyLedger> = self
             .state
             .disks
@@ -2076,6 +2105,64 @@ mod tests {
         );
         assert!(report.energy.total_joules() < base.energy.total_joules());
         assert_eq!(report.completed, base.completed);
+    }
+
+    /// Slows disks 3 and then 1 and queues one relocation, all on the
+    /// first arrival.
+    struct SlowTwoAndMove {
+        done: bool,
+    }
+    impl PowerPolicy for SlowTwoAndMove {
+        fn name(&self) -> &str {
+            "SlowTwoAndMove"
+        }
+        fn on_volume_arrival(
+            &mut self,
+            now: SimTime,
+            _req: &VolumeRequest,
+            _chunks: &[ChunkId],
+            state: &mut ArrayState,
+        ) {
+            if std::mem::replace(&mut self.done, true) {
+                return;
+            }
+            for d in [3, 1] {
+                state.request_speed(now, d, SpinTarget::Level(SpeedLevel(0)));
+            }
+            state.migrator.enqueue([MigrationJob::Relocate {
+                chunk: ChunkId(5),
+                dst: DiskId(2),
+            }]);
+        }
+    }
+
+    #[test]
+    fn one_event_drains_transitions_in_disk_order_then_migration_records() {
+        let trace = small_trace(20.0, 5.0);
+        let mut opts = RunOptions::for_horizon(30.0);
+        opts.telemetry = Some(telemetry::TelemetryConfig::new("drain-order"));
+        let report = run_policy(small_config(), SlowTwoAndMove { done: false }, &trace, opts);
+        let stream = report.telemetry.expect("telemetry was on");
+        let text = String::from_utf8(stream.bytes).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let first = lines
+            .iter()
+            .position(|l| l.starts_with(r#"{"ev":"speed""#))
+            .expect("the policy's transitions are in the stream");
+        let t = format!("{:?}", trace.requests[0].time.as_secs());
+        let want = [
+            format!(r#"{{"ev":"speed","t":{t},"disk":1,"from":5,"to":0,"reason":"policy","#),
+            format!(r#"{{"ev":"speed","t":{t},"disk":3,"from":5,"to":0,"reason":"policy","#),
+            format!(r#"{{"ev":"mig_start","t":{t},"job":0,"chunk":5,"#),
+        ];
+        for (i, w) in want.iter().enumerate() {
+            let got = lines.get(first + i).copied().unwrap_or("");
+            assert!(
+                got.starts_with(w.as_str()),
+                "line {}: {got:?}, want {w:?}…",
+                first + i
+            );
+        }
     }
 
     #[test]

@@ -238,6 +238,13 @@ impl Disk {
         std::mem::take(&mut self.transition_log)
     }
 
+    /// True if transition records are waiting to be drained (never while
+    /// recording is off).
+    #[inline]
+    pub fn has_transitions(&self) -> bool {
+        !self.transition_log.is_empty()
+    }
+
     /// Disables automatic spin-up on demand (requests then wait in the
     /// queue until a policy calls [`Disk::request_speed`]).
     pub fn set_auto_spinup(&mut self, on: bool) {

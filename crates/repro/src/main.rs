@@ -119,6 +119,10 @@ fn audit_stream(path: &str) -> ! {
 /// Streams an MSR-Cambridge block-trace CSV once, printing its vitals,
 /// and exits: 0 on a clean parse, 1 (naming the offending line) on a
 /// malformed one. Runs in O(1) memory regardless of trace size.
+///
+/// A record is late when its time is below the running maximum of the
+/// times before it (its lateness is the gap); these are the records a
+/// load has to move when it orders the trace.
 fn ingest_msr(path: &str) -> ! {
     let file = std::fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("ingest: cannot open {path}: {e}");
@@ -126,6 +130,7 @@ fn ingest_msr(path: &str) -> ! {
     });
     let (mut records, mut reads, mut sectors, mut last_s, mut max_end) =
         (0u64, 0u64, 0u64, 0.0f64, 0u64);
+    let (mut late, mut max_late_s) = (0u64, 0.0f64);
     for r in workload::trace_io::MsrReader::new(file) {
         let r = r.unwrap_or_else(|e| {
             eprintln!("ingest: {path}: {e}");
@@ -136,7 +141,12 @@ fn ingest_msr(path: &str) -> ! {
             reads += 1;
         }
         sectors += u64::from(r.sectors);
-        last_s = last_s.max(r.time.as_secs());
+        let t = r.time.as_secs();
+        if t < last_s {
+            late += 1;
+            max_late_s = max_late_s.max(last_s - t);
+        }
+        last_s = last_s.max(t);
         max_end = max_end.max(r.sector + u64::from(r.sectors));
     }
     if records == 0 {
@@ -149,6 +159,7 @@ fn ingest_msr(path: &str) -> ! {
         records - reads
     );
     println!("  span      {last_s:.3} s");
+    println!("  late      {late} record(s), up to {max_late_s:.3} s behind the newest before them");
     println!("  volume    {max_end} sectors touched-end, {sectors} sectors transferred");
     std::process::exit(0);
 }

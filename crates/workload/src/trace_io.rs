@@ -108,22 +108,55 @@ pub fn write_csv<W: Write>(trace: &Trace, w: W) -> Result<(), TraceIoError> {
     })
 }
 
+/// Calls `f` with the index of every comma byte in `bytes`, in order.
+///
+/// Eight bytes at a time: XOR with a word of commas zeroes exactly the
+/// comma bytes, and the mask below sets the top bit of exactly the zero
+/// bytes (no carry crosses a byte, so a neighbour is never marked).
+fn for_each_comma(bytes: &[u8], mut f: impl FnMut(usize)) {
+    const COMMAS: u64 = u64::from_ne_bytes([b','; 8]);
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ COMMAS;
+        let mut marks = !(((x & LOW7) + LOW7) | x | LOW7);
+        while marks != 0 {
+            f(base + marks.trailing_zeros() as usize / 8);
+            marks &= marks - 1;
+        }
+        base += 8;
+    }
+    for (i, &b) in words.remainder().iter().enumerate() {
+        if b == b',' {
+            f(base + i);
+        }
+    }
+}
+
 /// Splits `line` at commas into exactly `N` fields, or returns how many
-/// fields it has.
+/// fields it has. A comma is one byte in UTF-8 and never part of another
+/// character, so every field is a `str` slice.
 fn split_fields<const N: usize>(line: &str) -> Result<[&str; N], usize> {
-    let mut fields = [""; N];
+    let mut commas = [0; N];
     let mut n = 0;
-    for field in line.split(',') {
-        if let Some(slot) = fields.get_mut(n) {
-            *slot = field;
+    for_each_comma(line.as_bytes(), |at| {
+        if let Some(slot) = commas.get_mut(n) {
+            *slot = at;
         }
         n += 1;
+    });
+    if n + 1 != N {
+        return Err(n + 1);
     }
-    if n == N {
-        Ok(fields)
-    } else {
-        Err(n)
+    let mut fields = [""; N];
+    let mut start = 0;
+    for (field, &end) in fields.iter_mut().zip(&commas[..N - 1]) {
+        *field = &line[start..end];
+        start = end + 1;
     }
+    fields[N - 1] = &line[start..];
+    Ok(fields)
 }
 
 /// Parses a trimmed field, or reports `what: <the parse error>` at
@@ -135,6 +168,26 @@ where
     raw.trim()
         .parse()
         .map_err(|e| TraceIoError::Parse(lineno, format!("{what}: {e}")))
+}
+
+/// Parses an unsigned field as [`parse_field`] does. A field of 1 to 19
+/// ASCII digits (which cannot overflow `u64`) is read directly; anything
+/// else — padding, a sign, more digits, other bytes — goes through
+/// [`parse_field`], so its value or error is unchanged.
+fn parse_u64_field(raw: &str, lineno: usize, what: &str) -> Result<u64, TraceIoError> {
+    let digits = raw.as_bytes();
+    if (1..=19).contains(&digits.len()) {
+        let mut v = 0u64;
+        for &b in digits {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                return parse_field(raw, lineno, what);
+            }
+            v = v * 10 + u64::from(d);
+        }
+        return Ok(v);
+    }
+    parse_field(raw, lineno, what)
 }
 
 /// Runs every line through `parse`, which returns `None` for a line that
@@ -282,7 +335,8 @@ const SECTOR_BYTES: u64 = 512;
 ///
 /// Errors carry the 1-based line number and fuse the iterator. MSR
 /// captures are not globally time-sorted, so the collecting
-/// [`read_msr_csv`] sorts; a raw `MsrReader` is **not** a `TraceSource`.
+/// [`read_msr_csv`] orders the records ([`Trace::from_requests`] moves
+/// only the late ones); a raw `MsrReader` is **not** a `TraceSource`.
 pub struct MsrReader<R: Read> {
     lines: LineReader<BufReader<R>>,
     first_ticks: Option<u64>,
@@ -325,14 +379,14 @@ fn parse_msr_line(
                  Offset,Size,ResponseTime), got {n}"
         ))
     })?;
-    let ticks: u64 = parse_field(ticks, lineno, "bad timestamp")?;
+    let ticks = parse_u64_field(ticks, lineno, "bad timestamp")?;
     let kind = match kind.trim() {
         t if t.eq_ignore_ascii_case("Read") => VolumeIoKind::Read,
         t if t.eq_ignore_ascii_case("Write") => VolumeIoKind::Write,
         other => return Err(bad(format!("bad type {other:?} (want Read or Write)"))),
     };
-    let offset: u64 = parse_field(offset, lineno, "bad offset")?;
-    let size: u64 = parse_field(size, lineno, "bad size")?;
+    let offset = parse_u64_field(offset, lineno, "bad offset")?;
+    let size = parse_u64_field(size, lineno, "bad size")?;
     if size == 0 {
         return Err(bad("zero-length request".into()));
     }
@@ -919,23 +973,50 @@ mod tests {
         }
     }
 
+    /// Whitespace `str::trim` strips, including what `trim_ascii` keeps
+    /// (vertical tab, NBSP, U+3000) and what it also strips (form feed).
+    const PADS: [&str; 6] = [" ", "\t", "\u{b}", "\u{c}", "\u{a0}", "\u{3000}"];
+
+    fn pad(rng: &mut simkit::DetRng) -> &'static str {
+        PADS[rng.below(PADS.len() as u64) as usize]
+    }
+
     /// A numeric MSR field for `v`, often in an awkward but legal spelling
-    /// (`+` sign, leading zeros, padding) or an illegal one (20 digits
-    /// past `u64::MAX`, a minus sign, an exponent).
+    /// (`+` sign, leading zeros up to 20 digits, padding, the 19- and
+    /// 20-digit extremes) or an illegal one (20 digits past `u64::MAX`, a
+    /// minus sign, an exponent, a sign after padding).
     fn awkward_number(rng: &mut simkit::DetRng, v: u64) -> String {
-        match rng.below(12) {
+        match rng.below(20) {
             0 => (u128::from(u64::MAX) + 1 + u128::from(rng.below(1_000))).to_string(),
             1 => format!("+{v}"),
             2 => format!("000{v}"),
             3 => format!("  {v}\t"),
             4 => format!("-{v}"),
             5 => "1e5".into(),
+            6 => format!("{}{v}{}", pad(rng), pad(rng)),
+            7 => format!("{v:020}"),
+            8 => ["9999999999999999999", "18446744073709551615", "0"][rng.below(3) as usize].into(),
+            9 => format!("{}+{v}", pad(rng)),
             _ => v.to_string(),
         }
     }
 
-    /// One seeded MSR file: CRLF and LF endings, blank and padded lines,
-    /// awkward numbers, wrong field counts, stray non-UTF-8 bytes, and a
+    /// An MSR `Type` field: either case of either word, mixed case,
+    /// padding, or an illegal word.
+    fn awkward_kind(rng: &mut simkit::DetRng) -> String {
+        let word = [
+            "Read", "Write", "read", "WRITE", "rEaD", "wRiTe", "Erase", "",
+        ][rng.below(8) as usize];
+        if rng.chance(0.2) {
+            format!("{}{word}{}", pad(rng), pad(rng))
+        } else {
+            word.into()
+        }
+    }
+
+    /// One seeded MSR file: CRLF and LF endings, blank and padded lines
+    /// (with every whitespace in [`PADS`]), awkward numbers and types,
+    /// wrong field counts, stray non-ASCII and non-UTF-8 bytes, and a
     /// header on line 1 or (illegally) line 2. No byte-order marks.
     fn msr_corpus_file(rng: &mut simkit::DetRng) -> Vec<u8> {
         let header = "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime";
@@ -956,12 +1037,11 @@ mod tests {
                 let ticks = MSR_BASE + rng.below(100_000_000);
                 let offset = rng.below(1 << 40);
                 let response = rng.below(100_000);
-                let kind = ["Read", "Write", "read", " WRITE ", "Erase", ""][rng.below(6) as usize];
                 let mut fields = vec![
                     awkward_number(rng, ticks),
                     "src1".into(),
                     "0".into(),
-                    kind.into(),
+                    awkward_kind(rng),
                     awkward_number(rng, offset),
                     awkward_number(rng, size),
                     awkward_number(rng, response),
@@ -973,8 +1053,19 @@ mod tests {
                 }
                 fields.join(",")
             };
+            if rng.chance(0.03) {
+                // A non-ASCII character (a full-width digit among them),
+                // valid UTF-8, at a character boundary.
+                let cuts: Vec<usize> = line
+                    .char_indices()
+                    .map(|(i, _)| i)
+                    .chain([line.len()])
+                    .collect();
+                let at = cuts[rng.below(cuts.len() as u64) as usize];
+                line.insert_str(at, ["é", "\u{ff13}"][rng.below(2) as usize]);
+            }
             if rng.chance(0.2) {
-                line = format!("  {line} ");
+                line = format!("{}{line}{}", pad(rng), pad(rng));
             }
             out.extend_from_slice(line.as_bytes());
             if rng.chance(0.03) {
@@ -1001,6 +1092,72 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    #[test]
+    fn split_fields_matches_str_split() {
+        let mut rng = simkit::DetRng::new(30, "split-fields");
+        let alphabet = [",", ",", "-", "7", " ", "é", "\u{3000}", ",-"];
+        for len in 0..40 {
+            for _ in 0..200 {
+                let line: String = (0..len)
+                    .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize])
+                    .collect();
+                let want: Vec<&str> = line.split(',').collect();
+                let got = match want.len() {
+                    4 => split_fields::<4>(&line).map(|f| f.to_vec()),
+                    7 => split_fields::<7>(&line).map(|f| f.to_vec()),
+                    _ => Err(split_fields::<7>(&line).unwrap_err()),
+                };
+                match got {
+                    Ok(fields) => assert_eq!(fields, want, "{line:?}"),
+                    Err(n) => assert_eq!(n, want.len(), "{line:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digit_fast_path_matches_parse_field() {
+        let outcome = |r: Result<u64, TraceIoError>| r.map_err(|e| e.to_string());
+        let mut raws: Vec<String> = [
+            "",
+            " ",
+            "+",
+            "-",
+            "-0",
+            "0",
+            "+0",
+            "+7",
+            "007",
+            "1 2",
+            "1e5",
+            "1_000",
+            "0x10",
+            "９",
+            "7é",
+            "9999999999999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "00000000000000000007",
+            "99999999999999999999",
+            "000000000000000000000000001",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        for p in PADS {
+            raws.push(format!("{p}42"));
+            raws.push(format!("42{p}"));
+            raws.push(format!("{p}+42{p}"));
+        }
+        for raw in &raws {
+            assert_eq!(
+                outcome(parse_u64_field(raw, 3, "bad offset")),
+                outcome(parse_field::<u64>(raw, 3, "bad offset")),
+                "field {raw:?}"
+            );
+        }
     }
 
     #[test]
