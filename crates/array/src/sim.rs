@@ -546,11 +546,19 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
 
     /// Like [`Simulation::run`], but also hands the policy back so callers
     /// can inspect policy-internal state (hit ratios, boost counters, …).
+    ///
+    /// With telemetry on, the stream is serialized on one writer thread
+    /// while the simulation runs (see [`telemetry::Recorder`]); the bytes
+    /// equal a stepped run's. The scope owns the simulation, so a panic
+    /// drops its recorder, which ends the writer before the scope joins it.
     pub fn run_returning_policy(mut self) -> (RunReport, P) {
         let horizon = self.opts.horizon;
-        self.start();
-        self.step_until(horizon);
-        self.finish()
+        std::thread::scope(|scope| {
+            self.start();
+            self.state.telemetry.spawn_writer(scope);
+            self.step_until(horizon);
+            self.finish()
+        })
     }
 
     /// Emits the stream header, runs the policy's `init`, and seeds the
@@ -1782,6 +1790,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                 .map(|h| (h.counts().to_vec(), h.overflow()))
                 .unwrap_or_default();
             let mig = self.state.migrator.stats();
+            let dropped = recorder.dropped();
             recorder.emit(telemetry::Event::RunSummary {
                 time_s: t,
                 total_j: energy.total_joules(),
@@ -1797,7 +1806,7 @@ impl<'a, P: PowerPolicy> Simulation<'a, P> {
                 queue_overflow,
                 moved: mig.committed + mig.rebuilt + mig.raw_writes,
                 remap_version: self.state.remap.version(),
-                dropped: recorder.dropped(),
+                dropped,
             });
         }
 

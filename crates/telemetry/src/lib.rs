@@ -12,12 +12,13 @@
 //! * [`Recorder`] — the handle the simulator threads through its state. A
 //!   disabled recorder is a single `None`: every emit is one branch and no
 //!   event is ever constructed, so the hot path stays allocation-free when
-//!   telemetry is off.
-//! * [`EventSink`] — a bounded ring of JSON lines with a dropped-line
-//!   counter. Each event is serialized as it is recorded, with the same
+//!   telemetry is off. Enabled, it serializes each event into a bounded
+//!   ring of JSON lines with a dropped-line counter, with the same
 //!   hand-rolled shortest round-trip float formatting the workload trace
 //!   persistence uses, so a run holds its stream as bytes and hands it
-//!   over without a second pass.
+//!   over without a second pass. A whole solo run does that serialization
+//!   on one writer thread, fed batches of events; a stepped run does it
+//!   inline. The bytes are the same.
 //! * Fixed-bucket latency and queue-depth histograms
 //!   (`simkit::FixedHistogram`), updated inline as events are recorded and
 //!   reported in the run's trailer.
@@ -44,4 +45,3 @@ mod sink;
 
 pub use event::{BoostReason, CacheOp, Event, MoveKind, Tier, TransitionReason, STANDBY};
 pub use recorder::{Recorder, RunStream, TelemetryConfig};
-pub use sink::EventSink;

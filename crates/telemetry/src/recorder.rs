@@ -1,7 +1,10 @@
 //! The per-run recording handle.
 
-use crate::{Event, EventSink};
+use crate::sink::EventSink;
+use crate::Event;
 use simkit::FixedHistogram;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::Scope;
 
 /// Latency histogram layout: 2 ms buckets spanning 0–200 ms.
 const LATENCY_BUCKET_US: f64 = 2_000.0;
@@ -55,17 +58,145 @@ pub struct RunStream {
     pub bytes: Vec<u8>,
 }
 
+/// The simulation side of an enabled recorder.
 struct Inner {
     cfg: TelemetryConfig,
+    latency_us: FixedHistogram,
+    queue_depth: FixedHistogram,
+    out: Output,
+}
+
+/// Where a recorder's events are serialized.
+enum Output {
+    /// On the recording thread, as each event is recorded.
+    Inline(Writer),
+    /// On a writer thread, a batch at a time.
+    Thread(Handoff),
+}
+
+/// The one serializer: the byte ring plus the logic that keeps a run's
+/// header when the ring overflows.
+struct Writer {
     sink: EventSink,
     /// True while the ring's oldest line is the header of the run being
     /// recorded: the first event, a `run_start`, with no later one.
     header_in_ring: bool,
     /// That header, once a full ring would have evicted it; it goes back
-    /// in front of the stream in [`Recorder::into_stream`].
+    /// in front of the stream in [`Writer::into_bytes`].
     header: Vec<u8>,
-    latency_us: FixedHistogram,
-    queue_depth: FixedHistogram,
+}
+
+impl Writer {
+    fn new(capacity: usize) -> Writer {
+        Writer {
+            sink: EventSink::new(capacity),
+            header_in_ring: false,
+            header: Vec::new(),
+        }
+    }
+
+    fn write(&mut self, ev: &Event) {
+        if let Event::RunStart { .. } = ev {
+            self.header_in_ring = self.sink.is_empty() && self.sink.dropped() == 0;
+        }
+        if self.header_in_ring && self.sink.is_full() {
+            self.header = self.sink.take_oldest();
+            self.header_in_ring = false;
+        }
+        self.sink.push(ev);
+    }
+
+    fn into_bytes(self) -> Vec<u8> {
+        let mut bytes = self.sink.into_bytes();
+        // Only an overflowed ring held its header out; the common path
+        // hands the buffer over without copying it.
+        if !self.header.is_empty() {
+            bytes.splice(0..0, self.header);
+        }
+        bytes
+    }
+}
+
+/// Events the simulation hands a writer thread at a time.
+const BATCH: usize = 1024;
+/// Full batches that may wait for the writer thread before the
+/// simulation blocks on it. With the batch being filled and the one being
+/// written, this bounds the events a run holds unwritten.
+const QUEUED_BATCHES: usize = 4;
+/// Room in the channel that returns emptied batches for every batch but
+/// the one being filled. A run allocates a batch only when none has come
+/// back, so it holds at most `QUEUED_BATCHES + 3`, and returning one
+/// never blocks.
+const BATCHES: usize = QUEUED_BATCHES + 2;
+
+/// The recording thread's end of a writer thread.
+struct Handoff {
+    /// Events recorded since the last full batch went out.
+    batch: Vec<Event>,
+    /// Full batches to the writer. An empty batch asks for the writer back.
+    full: SyncSender<Vec<Event>>,
+    /// Written batches coming back empty, for reuse.
+    empty: Receiver<Vec<Event>>,
+    /// The writer, once every batch before the empty one is written.
+    done: Receiver<Writer>,
+}
+
+impl Handoff {
+    fn push(&mut self, ev: Event) {
+        self.batch.push(ev);
+        if self.batch.len() == BATCH {
+            let spare = self
+                .empty
+                .try_recv()
+                .unwrap_or_else(|_| Vec::with_capacity(BATCH));
+            let batch = std::mem::replace(&mut self.batch, spare);
+            self.send(batch);
+        }
+    }
+
+    fn send(&self, batch: Vec<Event>) {
+        self.full
+            .send(batch)
+            .expect("the telemetry writer thread stopped");
+    }
+
+    /// Hands over the partial batch, then waits until the writer thread
+    /// has written it and returns the writer.
+    fn rejoin(&mut self) -> Writer {
+        if !self.batch.is_empty() {
+            let batch = std::mem::take(&mut self.batch);
+            self.send(batch);
+        }
+        self.send(Vec::new());
+        self.done
+            .recv()
+            .expect("the telemetry writer thread stopped")
+    }
+}
+
+/// A writer thread's loop. An empty batch asks for the writer back; a
+/// closed channel means the recorder was dropped without handing its
+/// stream over (it unwound), and the thread ends, so a scope joining it
+/// cannot hang.
+fn serve(
+    mut writer: Writer,
+    full: Receiver<Vec<Event>>,
+    empty: SyncSender<Vec<Event>>,
+    done: SyncSender<Writer>,
+) {
+    while let Ok(mut batch) = full.recv() {
+        if batch.is_empty() {
+            break;
+        }
+        for ev in batch.drain(..) {
+            writer.write(&ev);
+        }
+        let _ = empty.try_send(batch);
+    }
+    let _ = done.send(writer);
+    // Outlive the recording thread's ends of the channels, so that this
+    // thread frees what it allocated for them (see `spawn_writer`).
+    while full.recv().is_ok() {}
 }
 
 /// The recording handle threaded through the simulation.
@@ -74,21 +205,41 @@ struct Inner {
 /// and never constructs an event (use [`Recorder::emit_with`] on paths
 /// where building the event itself would allocate), so the hot path is
 /// allocation-free when telemetry is off.
+///
+/// An enabled recorder keeps the latency and queue-depth histograms on
+/// the recording thread and serializes through one writer: inline, or,
+/// after [`Recorder::spawn_writer`], on a writer thread fed a batch of
+/// events at a time. Either way the writer sees the same events in the
+/// same order, so the bytes do not depend on where they were written.
+/// Only [`Recorder::spawn_writer`] starts a thread, one per recorder at
+/// most, and only a whole solo run (`Simulation::run_returning_policy`)
+/// calls it: at most one writer thread per solo simulation in flight.
+/// Stepped drivers, the fleet among them, serialize inline and start
+/// none.
 pub struct Recorder {
     inner: Option<Box<Inner>>,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
+        match self.inner.as_deref() {
             None => write!(f, "Recorder(disabled)"),
-            Some(i) => write!(
+            Some(Inner {
+                cfg,
+                out: Output::Inline(w),
+                ..
+            }) => write!(
                 f,
                 "Recorder({:?}, {} events, {} dropped)",
-                i.cfg.label,
-                i.sink.len() + usize::from(!i.header.is_empty()),
-                i.sink.dropped()
+                cfg.label,
+                w.sink.len() + usize::from(!w.header.is_empty()),
+                w.sink.dropped()
             ),
+            Some(Inner {
+                cfg,
+                out: Output::Thread(_),
+                ..
+            }) => write!(f, "Recorder({:?}, on a writer thread)", cfg.label),
         }
     }
 }
@@ -111,13 +262,58 @@ impl Recorder {
         Recorder {
             inner: Some(Box::new(Inner {
                 cfg,
-                sink: EventSink::new(capacity),
-                header_in_ring: false,
-                header: Vec::new(),
                 latency_us: FixedHistogram::new(LATENCY_BUCKET_US, LATENCY_BUCKETS),
                 queue_depth: FixedHistogram::new(QUEUE_BUCKET, QUEUE_BUCKETS),
+                out: Output::Inline(Writer::new(capacity)),
             })),
         }
+    }
+
+    /// Moves serialization to a writer thread spawned on `scope`. Later
+    /// events go to it in batches; [`Recorder::dropped`] and
+    /// [`Recorder::into_stream`] wait for it to write them and take the
+    /// writer back. A no-op when disabled or when a writer thread already
+    /// runs.
+    ///
+    /// Memory stays where it was allocated. Call this after the first
+    /// event, so that the recording thread allocates the ring's buffer and
+    /// glibc's `realloc` grows it in that thread's arena. The channels'
+    /// slots are allocated here too, and the writer thread drops its ends
+    /// last. A chunk that the writer thread allocated and the recording
+    /// thread freed was reused from the recording thread's cache, and
+    /// whatever then grew from it by `realloc` stayed in the writer's
+    /// arena: +13 MiB of `storm_msr` peak RSS, in memory that no later
+    /// allocation on the recording thread reused.
+    ///
+    /// Dropping the recorder ends the thread, so a scope that owns the
+    /// recorder's simulation can unwind through a panic without hanging
+    /// on the join.
+    ///
+    /// # Panics
+    /// Panics if the thread cannot be spawned.
+    pub fn spawn_writer<'scope>(&mut self, scope: &'scope Scope<'scope, '_>) {
+        let Some(inner) = self.inner.as_deref_mut() else {
+            return;
+        };
+        if let Output::Thread(_) = inner.out {
+            return;
+        }
+        let (full, full_rx) = sync_channel(QUEUED_BATCHES);
+        let (empty_tx, empty) = sync_channel(BATCHES);
+        let (done_tx, done) = sync_channel(1);
+        let handoff = Output::Thread(Handoff {
+            batch: Vec::with_capacity(BATCH),
+            full,
+            empty,
+            done,
+        });
+        let Output::Inline(writer) = std::mem::replace(&mut inner.out, handoff) else {
+            unreachable!("checked above");
+        };
+        std::thread::Builder::new()
+            .name("telemetry-writer".into())
+            .spawn_scoped(scope, move || serve(writer, full_rx, empty_tx, done_tx))
+            .expect("spawn the telemetry writer thread");
     }
 
     /// True when events are being captured.
@@ -167,24 +363,26 @@ impl Recorder {
     }
 
     /// Events evicted from the ring so far (0 when disabled). A held
-    /// header is not counted: it was never lost.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_deref().map(|i| i.sink.dropped()).unwrap_or(0)
+    /// header is not counted: it was never lost. A writer thread first
+    /// writes every event recorded so far and hands the writer back, so
+    /// later events are serialized inline.
+    pub fn dropped(&mut self) -> u64 {
+        self.inner
+            .as_deref_mut()
+            .map_or(0, |i| i.writer().sink.dropped())
     }
 
     /// Hands over the captured stream, consuming the recorder. Returns
-    /// `None` when disabled.
+    /// `None` when disabled. A writer thread first writes every event.
     pub fn into_stream(self) -> Option<RunStream> {
-        let inner = self.inner?;
-        let mut bytes = inner.sink.into_bytes();
-        // Only an overflowed ring held its header out; the common path
-        // hands the buffer over without copying it.
-        if !inner.header.is_empty() {
-            bytes.splice(0..0, inner.header);
-        }
+        let Inner { cfg, out, .. } = *self.inner?;
+        let writer = match out {
+            Output::Inline(w) => w,
+            Output::Thread(mut h) => h.rejoin(),
+        };
         Some(RunStream {
-            label: inner.cfg.label,
-            bytes,
+            label: cfg.label,
+            bytes: writer.into_bytes(),
         })
     }
 }
@@ -196,14 +394,21 @@ impl Inner {
         if let Event::RequestServed { latency_us, .. } | Event::CacheHit { latency_us, .. } = &ev {
             self.latency_us.record(*latency_us);
         }
-        if let Event::RunStart { .. } = ev {
-            self.header_in_ring = self.sink.is_empty() && self.sink.dropped() == 0;
+        match &mut self.out {
+            Output::Inline(w) => w.write(&ev),
+            Output::Thread(h) => h.push(ev),
         }
-        if self.header_in_ring && self.sink.is_full() {
-            self.header = self.sink.take_oldest();
-            self.header_in_ring = false;
+    }
+
+    /// The writer, back on this thread if a writer thread had it.
+    fn writer(&mut self) -> &mut Writer {
+        if let Output::Thread(h) = &mut self.out {
+            self.out = Output::Inline(h.rejoin());
         }
-        self.sink.push(&ev);
+        match &mut self.out {
+            Output::Inline(w) => w,
+            Output::Thread(_) => unreachable!("rejoined above"),
+        }
     }
 }
 
@@ -387,5 +592,31 @@ mod tests {
         assert_eq!(shape.name, "stream-shape");
         assert!(!shape.passed);
         assert!(shape.detail.contains("events dropped"), "{}", shape.detail);
+    }
+
+    // The same events through a writer thread, across batch boundaries,
+    // with and without an overflowing ring: the same bytes and the same
+    // drop count as inline, and the thread hands the writer back.
+    #[test]
+    fn a_writer_thread_writes_the_inline_bytes() {
+        let evs = run("b", 3 * BATCH as u32 + 5, 0);
+        for capacity in [evs.len(), 700] {
+            let mut inline = capped(capacity);
+            let mut threaded = capped(capacity);
+            std::thread::scope(|s| {
+                inline.emit(evs[0].clone());
+                threaded.emit(evs[0].clone());
+                threaded.spawn_writer(s);
+                assert!(format!("{threaded:?}").contains("on a writer thread"));
+                for ev in &evs[1..] {
+                    inline.emit(ev.clone());
+                    threaded.emit(ev.clone());
+                }
+                assert_eq!(threaded.dropped(), inline.dropped());
+                assert!(format!("{threaded:?}").contains("dropped"));
+            });
+            let inline = inline.into_stream().unwrap().bytes;
+            assert_eq!(threaded.into_stream().unwrap().bytes, inline);
+        }
     }
 }

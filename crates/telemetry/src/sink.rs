@@ -14,11 +14,11 @@ use crate::Event;
 /// as an incomplete stream, so capacity should be sized generously
 /// relative to the run — the default in
 /// [`TelemetryConfig`](crate::TelemetryConfig) covers a full `--quick`
-/// horizon with room to spare. The [`Recorder`](crate::Recorder) takes a
-/// run's header out with [`EventSink::take_oldest`] before it would be
-/// evicted, so an overflowed stream still says whose run it was.
+/// horizon with room to spare. The [`Recorder`](crate::Recorder)'s writer
+/// takes a run's header out with [`EventSink::take_oldest`] before it
+/// would be evicted, so an overflowed stream still says whose run it was.
 #[derive(Debug)]
-pub struct EventSink {
+pub(crate) struct EventSink {
     /// Serialized lines; the live stream is `buf[head..]`.
     buf: Vec<u8>,
     /// Byte offset of the oldest retained line.
@@ -34,7 +34,7 @@ impl EventSink {
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "EventSink: zero capacity");
         EventSink {
             buf: Vec::new(),
@@ -47,7 +47,7 @@ impl EventSink {
 
     /// Appends an event's line, evicting the oldest line if the ring is
     /// full.
-    pub fn push(&mut self, ev: &Event) {
+    pub(crate) fn push(&mut self, ev: &Event) {
         if self.is_full() {
             self.remove_oldest();
             self.dropped += 1;
@@ -61,7 +61,7 @@ impl EventSink {
     ///
     /// # Panics
     /// Panics if the sink is empty.
-    pub fn take_oldest(&mut self) -> Vec<u8> {
+    pub(crate) fn take_oldest(&mut self) -> Vec<u8> {
         let start = self.head;
         let end = self.head + self.oldest_len();
         let line = self.buf[start..end].to_vec();
@@ -90,27 +90,27 @@ impl EventSink {
     }
 
     /// Lines currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lines
     }
 
     /// True if the next push evicts a line.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.lines == self.capacity
     }
 
     /// True if no lines are buffered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.lines == 0
     }
 
     /// Lines evicted so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Consumes the sink, returning the buffered lines oldest first.
-    pub fn into_bytes(mut self) -> Vec<u8> {
+    pub(crate) fn into_bytes(mut self) -> Vec<u8> {
         self.buf.drain(..self.head);
         self.buf
     }

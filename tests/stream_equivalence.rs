@@ -13,6 +13,12 @@
 //! simulation constructors feed arrivals through the same one-ahead
 //! streaming path (a materialised trace is walked by a cursor), so
 //! event-queue keys — and therefore FIFO tie-breaking — are unchanged.
+//!
+//! The same holds for where telemetry is serialized: a whole run writes
+//! its stream on a writer thread and a stepped run writes it inline, and
+//! the bytes must agree even when the ring overflows. A policy panic in a
+//! captured whole run must reach the caller without hanging on the
+//! writer thread.
 
 mod common;
 
@@ -326,4 +332,107 @@ fn borrowed_trace_feed_buffers_at_most_one_request() {
     );
     assert_eq!(fingerprint(&stepped), fingerprint(&whole));
     assert_eq!(stepped.completed + stepped.incomplete, trace.len() as u64);
+}
+
+/// The `dropped` count a stream's `run_end` trailer reports.
+fn trailer_dropped(stream: &str) -> u64 {
+    let last = stream.lines().last().expect("a non-empty stream");
+    assert!(last.starts_with("{\"ev\":\"run_end\""), "{last}");
+    let rest = &last[last.find("\"dropped\":").expect("a dropped field") + 10..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("an integer count")
+}
+
+#[test]
+fn overflowing_ring_is_identical_on_the_writer_thread_and_inline() {
+    // A whole run serializes on its writer thread; a stepped run (the
+    // fleet's way) serializes inline. With a ring far smaller than the
+    // run, most lines are evicted either way: the survivors, the held
+    // `run_start` header and the trailer's drop count must agree byte for
+    // byte, and the count must be what the ring really dropped.
+    const CAPACITY: usize = 3_000;
+    let trace = spec().generate(7);
+    let capped = || {
+        let mut o = opts("overflow");
+        o.telemetry.as_mut().expect("telemetry on").capacity = CAPACITY;
+        o
+    };
+    let mut whole = run_policy(config(), hibernator(), &trace, capped());
+    let mut sim = Simulation::new(config(), hibernator(), &trace, capped());
+    let mut t = 0.0;
+    while t < DURATION_S {
+        t += 37.0;
+        sim.step_until(SimTime::from_secs(t));
+    }
+    let (mut stepped, _) = sim.finish();
+    let mut uncapped = run_policy(config(), hibernator(), &trace, opts("overflow"));
+
+    let ws = whole.telemetry.take().expect("whole stream").bytes;
+    let ss = stepped.telemetry.take().expect("stepped stream").bytes;
+    assert_eq!(ws, ss, "writer thread and inline streams differ");
+    let ws = String::from_utf8(ws).expect("utf-8 stream");
+    let full = uncapped.telemetry.take().expect("uncapped stream").bytes;
+    let full = String::from_utf8(full).expect("utf-8 stream");
+    let total = full.lines().count();
+    assert!(total > 4 * CAPACITY, "the run must overflow the ring");
+
+    let lines: Vec<&str> = ws.lines().collect();
+    assert_eq!(lines.len(), CAPACITY + 1, "a full ring behind the header");
+    assert_eq!(lines[0], full.lines().next().unwrap(), "header not held");
+    // The trailer is written after the count it reports: every line
+    // before it but the held header and the ring's other lines.
+    assert_eq!(trailer_dropped(&ws), (total - 2 - CAPACITY) as u64);
+    assert_eq!(trailer_dropped(&full), 0);
+}
+
+/// A policy that panics part-way through a run.
+struct PanicsMidRun {
+    ticks: u32,
+}
+
+impl array::PowerPolicy for PanicsMidRun {
+    fn name(&self) -> &str {
+        "PanicsMidRun"
+    }
+
+    fn tick_interval(&self) -> Option<SimDuration> {
+        Some(SimDuration::from_secs(60.0))
+    }
+
+    fn on_tick(&mut self, _now: SimTime, _state: &mut array::ArrayState) {
+        self.ticks += 1;
+        if self.ticks == 5 {
+            panic!("policy panicked mid-run");
+        }
+    }
+}
+
+#[test]
+fn a_policy_panic_in_a_captured_run_propagates_without_hanging() {
+    // By the panic at 300 s the run has handed its writer thread several
+    // batches. Unwinding drops the recorder, which ends the writer, so the
+    // run's scope joins it and re-raises the panic. A hang is the failure
+    // mode; the watchdog turns it into a failed test.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let trace = spec().generate(7);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_policy(config(), PanicsMidRun { ticks: 0 }, &trace, opts("panics"))
+        }));
+        let message = run.err().map(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default()
+        });
+        let _ = tx.send(message);
+    });
+    let message = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a captured run whose policy panicked hung");
+    assert_eq!(
+        message.as_deref(),
+        Some("policy panicked mid-run"),
+        "the policy's panic must reach the caller"
+    );
 }
