@@ -17,7 +17,8 @@
 //! and short epochs commits and dirty-aborts jobs, and on RAID-5 loses a
 //! disk while a job is copying. The `ablation/*` rows make the other two
 //! variants act: random placement commits moves, and the standby extension
-//! sleeps through a dead valley.
+//! sleeps through a dead valley. Both `migration/*` rows also enter and
+//! leave a latency boost, and the failure forces a boost of its own.
 
 mod common;
 mod reference;
@@ -45,6 +46,39 @@ fn migration_rows_commit_abort_and_drop_jobs() {
     assert!(
         String::from_utf8_lossy(&failure.stream).contains("\"ev\":\"mig_drop\""),
         "the disk failure tore down no in-flight job"
+    );
+    reference::assert_rows_match_golden(&runs.into_iter().map(|r| r.row).collect::<Vec<_>>());
+}
+
+/// The `boost` events of `stream` with this `entered` flag and reason.
+fn boosts(stream: &[u8], entered: bool, reason: &str) -> usize {
+    let needle = format!("\"entered\":{entered},\"reason\":\"{reason}\"}}");
+    String::from_utf8_lossy(stream)
+        .lines()
+        .filter(|l| l.starts_with("{\"ev\":\"boost\"") && l.ends_with(&needle))
+        .count()
+}
+
+/// The `migration/*` rows pin every arm that sets the array's speeds
+/// besides an epoch plan: both enter and leave a latency boost, and the
+/// disk failure forces a boost of its own.
+#[test]
+fn migration_rows_enter_and_leave_both_kinds_of_boost() {
+    let runs = reference::migration_runs();
+    for run in &runs {
+        let label = run.row.label();
+        assert!(
+            boosts(&run.stream, true, "latency") > 0,
+            "{label}: no latency boost entered"
+        );
+        assert!(
+            boosts(&run.stream, false, "latency") > 0,
+            "{label}: no latency boost left"
+        );
+    }
+    assert!(
+        boosts(&runs[1].stream, true, "disk_failure") > 0,
+        "the disk failure forced no boost"
     );
     reference::assert_rows_match_golden(&runs.into_iter().map(|r| r.row).collect::<Vec<_>>());
 }
