@@ -54,12 +54,18 @@ pub struct Allocation {
     /// Predicted array power (W).
     pub predicted_power_w: f64,
     /// False when no assignment met the goal and the all-fast fallback was
-    /// returned.
+    /// returned, and for a bare [`Allocation::all_fast`] plan.
     pub feasible: bool,
 }
 
 impl Allocation {
-    /// All disks at the fastest level (the fallback / Base layout).
+    /// All `disks` disks at the fastest level (the Base layout), predicting
+    /// 0 s and 0 W and marked infeasible. The allocator returns it, with
+    /// real predictions filled in, when no assignment meets the goal; a
+    /// Hibernator applies it bare before its first epoch and for every
+    /// boost. With nothing predicted it feeds no calibration, and the
+    /// coarse-grain test never keeps an infeasible plan, so the next
+    /// epoch's plan always replaces it.
     pub fn all_fast(disks: usize, levels: usize) -> Allocation {
         let mut per_level = vec![0; levels];
         per_level[levels - 1] = disks;

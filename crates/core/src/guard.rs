@@ -44,22 +44,6 @@ pub struct GuardConfig {
     pub entry_checks: u32,
 }
 
-impl GuardConfig {
-    /// Defaults for a given goal: 5-minute window, 10-minute hysteresis,
-    /// 0.9 exit margin, 20-sample minimum.
-    pub fn for_goal(goal_s: f64) -> GuardConfig {
-        assert!(goal_s > 0.0, "goal must be positive");
-        GuardConfig {
-            goal_s,
-            window: SimDuration::from_mins(5.0),
-            hysteresis: SimDuration::from_mins(10.0),
-            exit_margin: 0.9,
-            min_samples: 20,
-            entry_checks: 2,
-        }
-    }
-}
-
 /// The guard state machine.
 pub struct PerfGuard {
     cfg: GuardConfig,
@@ -70,7 +54,6 @@ pub struct PerfGuard {
     calm_since: Option<SimTime>,
     /// Consecutive violating checks while not boosted.
     violating_checks: u32,
-    boosts: u64,
 }
 
 impl PerfGuard {
@@ -89,23 +72,12 @@ impl PerfGuard {
             boosted: false,
             calm_since: None,
             violating_checks: 0,
-            boosts: 0,
         }
-    }
-
-    /// The configured goal.
-    pub fn goal_s(&self) -> f64 {
-        self.cfg.goal_s
     }
 
     /// True while boosted.
     pub fn is_boosted(&self) -> bool {
         self.boosted
-    }
-
-    /// Number of boosts triggered so far.
-    pub fn boost_count(&self) -> u64 {
-        self.boosts
     }
 
     /// Feed one completed-request response time.
@@ -115,16 +87,15 @@ impl PerfGuard {
 
     /// Force an immediate boost regardless of the measured window — used
     /// when an external emergency (a disk failure) makes the current plan
-    /// unsafe. Counts as a boost only when not already boosted; in either
-    /// case the calm timer restarts so the boost holds for a full
-    /// hysteresis period from `now`.
-    pub fn force_boost(&mut self, _now: SimTime) {
-        if !self.boosted {
-            self.boosted = true;
-            self.boosts += 1;
-        }
+    /// unsafe. The calm timer restarts, so the boost holds for a full
+    /// hysteresis period from the next calm check. Returns true when this
+    /// entered a boost, false when the guard was boosted already.
+    pub fn force_boost(&mut self) -> bool {
+        let entered = !self.boosted;
+        self.boosted = true;
         self.calm_since = None;
         self.violating_checks = 0;
+        entered
     }
 
     /// The current windowed mean response time (the guard's own view),
@@ -143,7 +114,6 @@ impl PerfGuard {
                     self.violating_checks += 1;
                     if self.violating_checks >= self.cfg.entry_checks {
                         self.boosted = true;
-                        self.boosts += 1;
                         self.calm_since = None;
                         self.violating_checks = 0;
                         GuardAction::EnterBoost
@@ -236,7 +206,6 @@ mod tests {
         }
         assert_eq!(g.check(t(10.0)), GuardAction::EnterBoost);
         assert!(g.is_boosted());
-        assert_eq!(g.boost_count(), 1);
         assert_eq!(g.check(t(11.0)), GuardAction::HoldBoost);
     }
 
@@ -333,18 +302,32 @@ mod tests {
     }
 
     #[test]
+    fn forced_boost_enters_once_and_restarts_the_calm_timer() {
+        let mut g = guard();
+        assert!(g.force_boost());
+        assert!(g.is_boosted());
+        // Calm (an empty window) for 100 s, then forced again: the calm
+        // timer restarts, so the boost holds a full hysteresis period.
+        assert_eq!(g.check(t(100.0)), GuardAction::HoldBoost);
+        assert!(!g.force_boost(), "already boosted");
+        assert_eq!(g.check(t(200.0)), GuardAction::HoldBoost);
+        assert_eq!(g.check(t(320.0)), GuardAction::ExitBoost);
+    }
+
+    #[test]
     fn can_boost_repeatedly() {
         let mut g = guard();
+        let mut entered = 0;
         for round in 0..3 {
             let base = round as f64 * 1000.0;
             for i in 0..10 {
                 g.record(t(base + i as f64), 0.100);
             }
-            assert_eq!(g.check(t(base + 10.0)), GuardAction::EnterBoost);
+            entered += usize::from(g.check(t(base + 10.0)) == GuardAction::EnterBoost);
             // Drain, then let the hysteresis clock run between two checks.
             assert_eq!(g.check(t(base + 300.0)), GuardAction::HoldBoost);
             assert_eq!(g.check(t(base + 500.0)), GuardAction::ExitBoost);
         }
-        assert_eq!(g.boost_count(), 3);
+        assert_eq!(entered, 3);
     }
 }

@@ -15,7 +15,15 @@
 //! Continuously (every tick, default 10 s) the
 //! [`PerfGuard`](crate::PerfGuard) watches measured response times; a goal
 //! violation boosts every disk to full speed at once and pauses migration
-//! until the array has stayed healthy for the hysteresis period.
+//! until the array has stayed healthy for the hysteresis period. A disk
+//! failure forces the same boost over the surviving disks.
+//!
+//! Every speed change — an epoch plan, a latency boost, a failure boost —
+//! takes one path, the private `Hibernator::apply`: it matches disks to a
+//! per-level plan, requests each alive disk's level (or standby), and
+//! adopts the plan as the current one. A boost applies
+//! [`Allocation::all_fast`](crate::Allocation::all_fast) over the alive
+//! disks.
 
 use crate::allocator::{Allocation, AllocationInput, SpeedAllocator};
 use crate::guard::{GuardAction, GuardConfig, PerfGuard};
@@ -368,32 +376,10 @@ impl Hibernator {
 
         // 4. Apply speeds. Every bottom-tier disk parks in standby instead
         // of crawling at level 0 when the policy's plan says so, or when
-        // the standby extension finds the tier cold. All the requests below
-        // are no-ops for disks already in the desired state, so re-applying
-        // an unchanged allocation costs nothing.
+        // the standby extension finds the tier cold.
         let sleep = policy_sleep
             || (self.standby_extension && bottom_tier_is_cold(state, adopted.per_level[0], &input));
-        let targets = match_disks(state, &adopted.per_level);
-        self.standby_disks.clear();
-        let mut changed = false;
-        for (i, &l) in targets.iter().enumerate() {
-            let d = &state.disks[i];
-            if d.has_failed() {
-                continue;
-            }
-            if sleep && l == SpeedLevel(0) {
-                self.standby_disks.push(i);
-                if !d.is_standby() {
-                    changed = true;
-                }
-                state.request_speed(now, i, SpinTarget::Standby);
-            } else {
-                if d.is_standby() || d.effective_level() != l {
-                    changed = true;
-                }
-                state.request_speed(now, i, SpinTarget::Level(l));
-            }
-        }
+        let (targets, changed) = self.apply(now, adopted, sleep, state);
         if changed {
             self.stats.reconfigurations += 1;
             let pm = state.disks[0].power_model();
@@ -412,7 +398,8 @@ impl Hibernator {
         // transient: ramp backlog drain plus the migration wave (×1.5
         // because foreground interleaving stretches it), capped so the
         // guard always gets the tail of each epoch.
-        let round = self.apply_migrations(now, state, ranking, rates, &adopted, policy.as_mut());
+        let round = self.apply_migrations(now, state, ranking, rates, &targets, policy.as_mut());
+        let adopted = self.current.as_ref().expect("apply sets the plan");
         if changed || !state.migrator.is_quiescent() {
             let drain = 1.5 * self.migration_drain_estimate_s(state, &adopted.per_level);
             if drain > 0.0 {
@@ -430,7 +417,7 @@ impl Hibernator {
                 predicted_response_s: adopted.predicted_response_s,
                 predicted_power_w: adopted.predicted_power_w,
                 migration_jobs: state.migrator.pending_len() as u32,
-                skipped: self.stats.skipped_by_coarse_grain > skipped_before,
+                skipped: kept,
                 changed,
             });
         // The round's accounting (moves, deferrals, grace in force) goes
@@ -449,9 +436,74 @@ impl Hibernator {
                     sleepers: plan_sleepers.max(self.standby_disks.len() as u32),
                 });
         }
-        self.current = Some(adopted);
         self.rank_scratch = rank_scratch;
         self.mig_policy = Some(policy);
+    }
+
+    /// The one path that sets the array's speeds, for an epoch plan and
+    /// for both boosts: matches disks to `plan` with minimal movement,
+    /// requests each alive disk's level (standby instead for the bottom
+    /// tier when `sleep`), records the parked disks and adopts `plan` as
+    /// the current one. Requests for disks already in the desired state
+    /// are no-ops, so re-applying an unchanged plan costs nothing.
+    ///
+    /// Returns the per-disk targets and whether any disk's speed changed.
+    fn apply(
+        &mut self,
+        now: SimTime,
+        plan: Allocation,
+        sleep: bool,
+        state: &mut ArrayState,
+    ) -> (Vec<SpeedLevel>, bool) {
+        let targets = match_disks(state, &plan.per_level);
+        self.standby_disks.clear();
+        let mut changed = false;
+        for (i, &l) in targets.iter().enumerate() {
+            let d = &state.disks[i];
+            if d.has_failed() {
+                continue;
+            }
+            let target = if sleep && l == SpeedLevel(0) {
+                self.standby_disks.push(i);
+                changed |= !d.is_standby();
+                SpinTarget::Standby
+            } else {
+                changed |= d.is_standby() || d.effective_level() != l;
+                SpinTarget::Level(l)
+            };
+            state.request_speed(now, i, target);
+        }
+        self.current = Some(plan);
+        (targets, changed)
+    }
+
+    /// Spins every alive disk to full speed: the guard's answer to a blown
+    /// goal, and the policy's to a disk failure. Drops the pending
+    /// migration jobs, and pauses relocation while the guard holds the
+    /// boost. Only a boost the array `entered` (it was not boosted
+    /// already) counts and is announced in the stream.
+    fn boost(
+        &mut self,
+        now: SimTime,
+        reason: telemetry::BoostReason,
+        entered: bool,
+        state: &mut ArrayState,
+    ) {
+        if entered {
+            self.stats.boosts += 1;
+            state.telemetry.emit_with(|| telemetry::Event::GuardBoost {
+                time_s: now.as_secs(),
+                entered: true,
+                reason,
+            });
+        }
+        if self.guard_enabled {
+            state.migrator.set_paused(true);
+        }
+        state.migrator.clear_pending();
+        self.current_sleep = false;
+        let plan = Allocation::all_fast(state.alive_disks(), state.config.spec.num_levels());
+        self.apply(now, plan, false, state);
     }
 
     /// Rough upper bound on how long the queued migration jobs will take.
@@ -484,13 +536,12 @@ impl Hibernator {
         state: &mut ArrayState,
         ranking: &[ChunkId],
         rates: &[f64],
-        alloc: &Allocation,
+        targets: &[SpeedLevel],
         policy: &mut dyn MigrationPolicy,
     ) -> Option<PlanOutcome> {
         if !self.migration_enabled {
             return None;
         }
-        let targets = match_disks(state, &alloc.per_level);
         let out = self.grace.plan_round(
             policy,
             &PolicyObservation {
@@ -499,7 +550,7 @@ impl Hibernator {
                 heat: self.heat.as_ref().expect("init ran"),
                 ranking,
                 rates,
-                disk_levels: &targets,
+                disk_levels: targets,
                 budget: self.cfg.migration_budget,
             },
         );
@@ -553,21 +604,6 @@ fn bottom_tier_is_cold(state: &ArrayState, n_bottom: usize, input: &AllocationIn
     cold_rate / (n_bottom as f64) < STANDBY_MAX_RATE.min(1.0 / (4.0 * breakeven))
 }
 
-/// The all-fast plan over `disks` disks: the safe configuration before the
-/// first epoch decision and after a boost or a disk failure. Its predicted
-/// power is the largest `f64`, so any real plan beats it in the
-/// coarse-grain test.
-fn all_fast(levels: usize, disks: usize) -> Allocation {
-    let mut per_level = vec![0; levels];
-    per_level[levels - 1] = disks;
-    Allocation {
-        per_level,
-        predicted_response_s: 0.0,
-        predicted_power_w: f64::MAX,
-        feasible: true,
-    }
-}
-
 impl PowerPolicy for Hibernator {
     fn name(&self) -> &str {
         "Hibernator"
@@ -588,7 +624,7 @@ impl PowerPolicy for Hibernator {
         // First epoch decision happens after one epoch of observation; until
         // then the array stays at full speed (the safe default).
         self.next_epoch = now + self.cfg.epoch;
-        self.current = Some(all_fast(spec.num_levels(), state.disks.len()));
+        self.current = Some(Allocation::all_fast(state.disks.len(), spec.num_levels()));
     }
 
     fn tick_interval(&self) -> Option<SimDuration> {
@@ -646,37 +682,12 @@ impl PowerPolicy for Hibernator {
     fn on_disk_failure(&mut self, now: SimTime, _disk: usize, state: &mut ArrayState) {
         // A failure is the hardest possible performance event: redirected
         // reads double up on the partner and rebuild traffic floods the
-        // survivors. Boost immediately — don't wait for the guard's window
-        // to fill with blown response times.
-        if !(self.guard_enabled && self.guard.is_boosted()) {
-            self.stats.boosts += 1;
-            state.telemetry.emit_with(|| telemetry::Event::GuardBoost {
-                time_s: now.as_secs(),
-                entered: true,
-                reason: telemetry::BoostReason::DiskFailure,
-            });
-        }
-        if self.guard_enabled {
-            self.guard.force_boost(now);
-            // Pause ordinary relocations (rebuilds are immune to pause);
-            // the guard's ExitBoost unpauses once the array is calm again.
-            state.migrator.set_paused(true);
-        }
-        state.migrator.clear_pending();
-        let top = state.config.spec.top_level();
-        for i in 0..state.disks.len() {
-            if !state.disks[i].has_failed() {
-                state.request_speed(now, i, SpinTarget::Level(top));
-            }
-        }
-        self.standby_disks.clear();
-        self.current_sleep = false;
-        // Replace the (now stale) plan with all-survivors-fast, and
-        // schedule a fresh epoch decision once things settle.
-        self.current = Some(all_fast(
-            state.config.spec.num_levels(),
-            state.alive_disks(),
-        ));
+        // survivors. Boost the survivors immediately — don't wait for the
+        // guard's window to fill with blown response times — and schedule
+        // a fresh epoch decision once things settle. The guard's
+        // ExitBoost unpauses relocation once the array is calm again.
+        let entered = !self.guard_enabled || self.guard.force_boost();
+        self.boost(now, telemetry::BoostReason::DiskFailure, entered, state);
         self.next_epoch = self.next_epoch.max(now + self.cfg.epoch);
     }
 
@@ -684,28 +695,10 @@ impl PowerPolicy for Hibernator {
         if self.guard_enabled {
             match self.guard.check(now) {
                 GuardAction::EnterBoost => {
-                    self.stats.boosts += 1;
-                    state.telemetry.emit_with(|| telemetry::Event::GuardBoost {
-                        time_s: now.as_secs(),
-                        entered: true,
-                        reason: telemetry::BoostReason::Latency,
-                    });
                     // A boost is hard evidence the model under-predicted.
                     self.correction = (self.correction * 1.25).min(4.0);
                     self.model_error.observe(now, self.correction);
-                    let top = state.config.spec.top_level();
-                    for i in 0..state.disks.len() {
-                        state.request_speed(now, i, SpinTarget::Level(top));
-                    }
-                    state.migrator.set_paused(true);
-                    state.migrator.clear_pending();
-                    self.standby_disks.clear();
-                    self.current_sleep = false;
-                    // Remember that we are now flat-out.
-                    self.current = Some(all_fast(
-                        state.config.spec.num_levels(),
-                        state.alive_disks(),
-                    ));
+                    self.boost(now, telemetry::BoostReason::Latency, true, state);
                     return;
                 }
                 GuardAction::HoldBoost => return,
@@ -726,8 +719,10 @@ impl PowerPolicy for Hibernator {
                         (self.guard.windowed_mean(now), self.current.as_ref())
                     {
                         // Calibrate against any adopted config with a real
-                        // prediction — including the all-fast fallback, or
-                        // the correction could never relax after a boost.
+                        // prediction — including the allocator's all-fast
+                        // fallback, or the correction could never relax
+                        // after a boost. The plan a boost applies predicts
+                        // 0 s, so calibration resumes with the next epoch.
                         if cur.predicted_response_s > 1e-6 {
                             let ratio = (obs / cur.predicted_response_s).clamp(0.25, 4.0);
                             self.model_error.observe(now, ratio);

@@ -109,11 +109,6 @@ impl ServiceEstimator {
         let (es, es2) = self.moments(level);
         mg1_response(lambda, es, es2)
     }
-
-    /// True once `level` reports measured (not analytic) moments.
-    pub fn is_measured(&self, level: SpeedLevel) -> bool {
-        self.measured[level.index()].count() >= self.min_samples
-    }
 }
 
 #[cfg(test)]
@@ -184,12 +179,10 @@ mod tests {
     fn measurements_override_analytic() {
         let mut e = estimator();
         let l = SpeedLevel(3);
-        assert!(!e.is_measured(l));
         let (seed_es, _) = e.moments(l);
         for _ in 0..60 {
             e.record(l, 0.042);
         }
-        assert!(e.is_measured(l));
         let (es, es2) = e.moments(l);
         assert!((es - 0.042).abs() < 1e-12);
         assert!((es2 - 0.042 * 0.042).abs() < 1e-9);

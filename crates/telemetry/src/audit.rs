@@ -131,6 +131,7 @@ struct CacheTotals {
 struct RunAcc {
     label: String,
     disks: u32,
+    levels: u32,
     inflight: u32,
     sample_s: f64,
     bucket_s: f64,
@@ -177,6 +178,9 @@ struct RunAcc {
     /// `mig_moved` events; feeds the migration-grace check.
     chunk_commits: BTreeMap<u64, (f64, f64)>,
     grace_violation: Option<String>,
+    /// Replayed `epoch` (speed plan) events.
+    epochs: u64,
+    plan_violation: Option<String>,
     end: Option<EndTotals>,
 }
 
@@ -188,6 +192,7 @@ impl RunAcc {
         let &Event::RunStart {
             ref label,
             disks,
+            levels,
             horizon_s,
             migration_inflight,
             sample_interval_s: sample_s,
@@ -217,6 +222,7 @@ impl RunAcc {
         Ok(RunAcc {
             label: label.clone(),
             disks,
+            levels,
             inflight: migration_inflight,
             sample_s,
             bucket_s,
@@ -409,7 +415,23 @@ impl RunAcc {
                 self.policy_events += 1;
                 self.policy_grace_s = grace_s;
             }
-            Event::EpochPlanned { .. } | Event::GuardBoost { .. } => {}
+            Event::EpochPlanned { per_level, .. } => {
+                // Plan shape: one count per speed level, covering exactly
+                // the disks still alive.
+                self.epochs += 1;
+                let alive = u64::from(self.disks) - self.failures as u64;
+                let planned: u64 = per_level.iter().map(|&k| u64::from(k)).sum();
+                if (per_level.len() != self.levels as usize || planned != alive)
+                    && self.plan_violation.is_none()
+                {
+                    self.plan_violation = Some(format!(
+                        "line {n}: plan {per_level:?} at t={t} is not {} levels covering \
+                         {alive} alive disk(s)",
+                        self.levels
+                    ));
+                }
+            }
+            Event::GuardBoost { .. } => {}
             Event::RunStart { .. }
             | Event::FleetEpoch { .. }
             | Event::CapGrant { .. }
@@ -697,6 +719,28 @@ impl RunAcc {
                             "{} policy rounds, {} chunk commits tracked",
                             self.policy_events,
                             self.chunk_commits.len()
+                        ),
+                    },
+                });
+            }
+
+            // 10. Plan shape (only for runs that plan speeds, like the two
+            //     above): every `epoch` event's `per_level` has one count
+            //     per level of the header and covers exactly the disks not
+            //     yet failed.
+            if self.epochs > 0 {
+                checks.push(match &self.plan_violation {
+                    Some(v) => Check {
+                        name: "plan-shape",
+                        passed: false,
+                        detail: v.clone(),
+                    },
+                    None => Check {
+                        name: "plan-shape",
+                        passed: true,
+                        detail: format!(
+                            "{} epoch plans over {} levels cover the alive disks",
+                            self.epochs, self.levels
                         ),
                     },
                 });
@@ -1127,6 +1171,68 @@ mod tests {
             .find(|c| c.name == "migration-grace")
             .unwrap();
         assert!(check.passed, "{}", check.detail);
+    }
+
+    /// The minimal stream with `epoch` lines before its first power
+    /// sample, and a failure of disk 1 at t=40 when `fail` is set.
+    fn epoch_stream(plans: &[&str], fail: bool) -> String {
+        let mut extra = String::new();
+        for (i, plan) in plans.iter().enumerate() {
+            extra += &format!(
+                "{{\"ev\":\"epoch\",\"t\":{}.0,\"per_level\":{plan},\"feasible\":true,\
+                 \"pred_response_s\":0.001,\"pred_power_w\":20.0,\"jobs\":0,\
+                 \"skipped\":false,\"changed\":true}}\n",
+                20 + 25 * i
+            );
+            if fail && i == 0 {
+                extra += "{\"ev\":\"fault\",\"t\":40.0,\"disk\":1,\"kind\":\"disk_failure\"}\n";
+            }
+        }
+        extra += "{\"ev\":\"power\",\"t\":50.0,\"watts\":1.0}";
+        minimal_stream().replace("{\"ev\":\"power\",\"t\":50.0,\"watts\":1.0}", &extra)
+    }
+
+    fn plan_shape(s: &str) -> Check {
+        let out = audit_bytes(s.as_bytes()).expect("parse");
+        out.runs[0]
+            .checks
+            .iter()
+            .find(|c| c.name == "plan-shape")
+            .cloned()
+            .expect("a run with epoch events gets a plan-shape check")
+    }
+
+    #[test]
+    fn plans_that_cover_the_alive_disks_pass_plan_shape() {
+        let ok = plan_shape(&epoch_stream(&["[1,0,0,0,0,1]", "[0,0,0,0,0,1]"], true));
+        assert!(ok.passed, "{}", ok.detail);
+        assert!(
+            !audit_bytes(minimal_stream().as_bytes())
+                .expect("parse")
+                .runs[0]
+                .checks
+                .iter()
+                .any(|c| c.name == "plan-shape"),
+            "no epoch events -> no plan-shape check"
+        );
+    }
+
+    #[test]
+    fn mutated_plans_fail_plan_shape_on_their_line() {
+        // Line 3 is the first epoch, line 5 the second (after the fault).
+        for (plans, fail, line) in [
+            (&["[1,0,0,0,0,0,1]", "[0,0,0,0,0,2]"][..], false, 3),
+            (&["[1,0,0,0,0,2]"][..], false, 3),
+            (&["[1,0,0,0,0,1]", "[1,0,0,0,0,1]"][..], true, 5),
+        ] {
+            let bad = plan_shape(&epoch_stream(plans, fail));
+            assert!(!bad.passed, "{plans:?} passed: {}", bad.detail);
+            assert!(
+                bad.detail.starts_with(&format!("line {line}: plan ")),
+                "{}",
+                bad.detail
+            );
+        }
     }
 
     #[test]
